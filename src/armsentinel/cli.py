@@ -16,12 +16,12 @@ from pathlib import Path
 import numpy as np
 
 from .checkpoint import CheckpointError
-from .evaluate import compare_checkpoints, single_arm_probe
+from .evaluate import compare_checkpoints, predict_mask, single_arm_probe
 from .guard import LatencyBudget, SafeRegion, guard_run, make_segmenter, time_inference
 from .nets import DiscriminatorConfig, UNetConfig
-from .pipeline import (DatasetManifest, ImageBuffer, NetpbmError, SceneConfig,
-                       build_manifest, load_manifest, synth_dataset, write_netpbm)
-from .tensor import NonFiniteError, ShapeError, Tensor
+from .pipeline import (ImageBuffer, NetpbmError, SceneConfig, build_manifest, load_manifest,
+                       synth_dataset, write_netpbm)
+from .tensor import NonFiniteError, ShapeError
 from .train import TrainConfig, load_checkpoint, train
 
 USAGE_EXIT = 1
@@ -136,9 +136,7 @@ def cmd_infer(args) -> int:
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     for i, (cond, _label) in enumerate(manifest.load_pairs_unit_interval()):
-        out = gen.forward(Tensor(cond[None]), mode="infer")
-        values = np.clip(np.rint(out.data[0, 0] * 255.0), 0, 255).astype(np.uint8)
-        write_netpbm(ImageBuffer(values), out_dir / f"pred_{i:05d}.pgm")
+        write_netpbm(predict_mask(gen, cond)[0], out_dir / f"pred_{i:05d}.pgm")
     print(f"infer: wrote {manifest.count} predictions to {out_dir}")
     return 0
 

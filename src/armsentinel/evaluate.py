@@ -25,8 +25,6 @@ class DiffImage:
     """Absolute per-pixel difference of two same-sized images."""
 
     values: np.ndarray  # (H, W) uint8
-    source_a: str = ""
-    source_b: str = ""
 
 
 @dataclass
@@ -124,12 +122,19 @@ def overlap_metrics(pred_mask: ImageBuffer, truth_mask: ImageBuffer) -> dict[str
     return {"iou": iou, "dice": dice}
 
 
-def _infer_mask(gen: Generator, cond_chw: np.ndarray) -> tuple[ImageBuffer, ImageBuffer]:
-    """Run inference on one (C,H,W) unit-interval frame; returns (raw, binarized)."""
+def predict_mask(gen: Generator, cond_chw: np.ndarray) -> tuple[ImageBuffer, ImageBuffer]:
+    """The one inference path: a (C,H,W) unit-interval frame -> (raw, binarized) masks."""
     out = gen.forward(Tensor(cond_chw[None].astype(np.float32)), mode="infer")
-    raw = np.clip(np.rint(out.data[0, 0] * 255.0), 0, 255).astype(np.uint8)
-    raw_img = ImageBuffer(raw)
-    return raw_img, binarize(raw_img, 128)
+    raw = ImageBuffer(np.clip(np.rint(out.data[0, 0] * 255.0), 0, 255).astype(np.uint8))
+    return raw, binarize(raw, 128)
+
+
+def _score(gen: Generator, cond_chw: np.ndarray, truth: ImageBuffer,
+           truth_bin: ImageBuffer) -> tuple[ImageBuffer, DiffImage, float]:
+    """Predict one frame: (binary mask, its diff to `truth_bin`, raw-vs-`truth` MAE)."""
+    raw, binary = predict_mask(gen, cond_chw)
+    mae = float(np.abs(raw.gray().astype(np.float64) - truth.gray().astype(np.float64)).mean())
+    return binary, subtract(binary, truth_bin), mae
 
 
 def _write_report(report: ComparativeReport, out_dir: Path) -> None:
@@ -169,22 +174,11 @@ def compare_checkpoints(ckpt_a: str | Path, ckpt_b: str | Path,
     for frame, (cond, label) in enumerate(pairs):
         truth = ImageBuffer(np.rint(label[0] * 255.0).astype(np.uint8))
         truth_bin = binarize(truth, 128)
-        raw_a, bin_a = _infer_mask(gen_a, cond)
-        raw_b, bin_b = _infer_mask(gen_b, cond)
-        diff_a = subtract(bin_a, truth_bin)
-        diff_b = subtract(bin_b, truth_bin)
+        _, diff_a, mae_a = _score(gen_a, cond, truth, truth_bin)
+        bin_b, diff_b, mae_b = _score(gen_b, cond, truth, truth_bin)
         ov = overlap_metrics(bin_b, truth_bin)
-        report.rows.append(FrameRow(
-            frame=frame,
-            nonzero_a=nonzero_count(diff_a),
-            nonzero_b=nonzero_count(diff_b),
-            mae_a=float(np.abs(raw_a.gray().astype(np.float64)
-                               - truth.gray().astype(np.float64)).mean()),
-            mae_b=float(np.abs(raw_b.gray().astype(np.float64)
-                               - truth.gray().astype(np.float64)).mean()),
-            iou_b=ov["iou"],
-            dice_b=ov["dice"],
-        ))
+        report.rows.append(FrameRow(frame, nonzero_count(diff_a), nonzero_count(diff_b),
+                                    mae_a, mae_b, ov["iou"], ov["dice"]))
         report.histogram_a += histogram(diff_a).bins
         report.histogram_b += histogram(diff_b).bins
         if frame < sample_diffs:
@@ -217,11 +211,8 @@ def single_arm_probe(ckpt: str | Path, scene_cfg: SceneConfig, count: int,
         sample = generate_scene(scene_cfg, frame)
         cond = sample.condition.unit_chw()
         truth_bin = binarize(sample.label, 128)
-        raw, pred_bin = _infer_mask(gen, cond)
-        diff = subtract(pred_bin, truth_bin)
+        pred_bin, diff, mae = _score(gen, cond, sample.label, truth_bin)
         ov = overlap_metrics(pred_bin, truth_bin)
-        mae = float(np.abs(raw.gray().astype(np.float64)
-                           - sample.label.gray().astype(np.float64)).mean())
         report.rows.append(FrameRow(frame, nonzero_count(diff), nonzero_count(diff),
                                     mae, mae, ov["iou"], ov["dice"]))
         bins = histogram(diff).bins

@@ -120,7 +120,6 @@ register_primitive("conv_transpose2d_strided", _build_conv_transpose2d(stride=2,
 register_primitive("relu", _build_unary(T.relu, _away_from_zero))
 register_primitive("leaky_relu", _build_unary(lambda x: T.leaky_relu(x, 0.2), _away_from_zero))
 register_primitive("sigmoid", _build_unary(T.sigmoid))
-register_primitive("tanh", _build_unary(T.tanh))
 register_primitive("log", _build_unary(T.log, lambda a: np.abs(a) + 0.5))
 register_primitive("abs", _build_unary(T.abs_, _away_from_zero))
 register_primitive("clamp_min", _build_unary(lambda x: T.clamp_min(x, 0.0), _away_from_zero))
@@ -141,7 +140,6 @@ DEFAULT_SHAPES: dict[str, list[tuple]] = {
     "relu": [(3, 7)],
     "leaky_relu": [(3, 7)],
     "sigmoid": [(4,)],
-    "tanh": [(5, 2)],
     "log": [(6,)],
     "abs": [(4, 3)],
     "clamp_min": [(8,)],

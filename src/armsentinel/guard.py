@@ -2,8 +2,10 @@
 
 The interlock watches the predicted arm mask against a permitted operating
 region: breaches above a fraction threshold are debounced over consecutive
-frames before latching an absorbing OVERRIDE.  Any in-loop error or budget
-miss yields HALT, never PROCEED.
+frames before latching an absorbing OVERRIDE.  `guard_run` gives every frame
+exactly one event: an error while handling a frame (segmenter, interlock or
+frame-shape drift) is HALT with reason "error:<type>" and latches OVERRIDE,
+and a budget miss under abort-frame is HALT; no error ever yields PROCEED.
 """
 
 from __future__ import annotations
@@ -11,15 +13,15 @@ from __future__ import annotations
 import csv
 import json
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Callable, Iterable
 
 import numpy as np
 
-from .nets import Generator, UNetConfig
+from .evaluate import predict_mask
+from .nets import UNetConfig
 from .pipeline import DatasetManifest, ImageBuffer
-from .tensor import Tensor
 from .train import load_checkpoint
 
 NOMINAL = "NOMINAL"
@@ -150,13 +152,7 @@ def reset_override(state: GuardState, operator_token: str) -> GuardState:
 def make_segmenter(ckpt: str | Path, gen_cfg: UNetConfig) -> Callable[[np.ndarray], ImageBuffer]:
     """Checkpoint-backed frame -> binary mask callable (infer mode)."""
     gen, *_ = load_checkpoint(ckpt, gen_cfg)
-
-    def segment(cond_chw: np.ndarray) -> ImageBuffer:
-        out = gen.forward(Tensor(cond_chw[None].astype(np.float32)), mode="infer")
-        values = np.clip(np.rint(out.data[0, 0] * 255.0), 0, 255).astype(np.uint8)
-        return ImageBuffer(np.where(values >= 128, 255, 0).astype(np.uint8))
-
-    return segment
+    return lambda cond_chw: predict_mask(gen, cond_chw)[1]
 
 
 def time_inference(ckpt: str | Path, manifest: DatasetManifest, gen_cfg: UNetConfig,
@@ -208,7 +204,8 @@ def guard_run(segmenter: Callable[[np.ndarray], ImageBuffer],
     """Online loop: segment -> interlock per frame, all inside one budget window.
 
     Under the abort-frame policy a frame that misses its budget is HALT with
-    reason "latency" regardless of the interlock outcome (fail closed).
+    reason "latency" regardless of the interlock outcome (fail closed); a frame
+    whose handling raises is HALT with reason "error:<type>" and latches OVERRIDE.
     `segmenter` is any frame -> binary-mask callable; tests substitute a
     ground-truth oracle for the trained generator.
     """
@@ -218,21 +215,25 @@ def guard_run(segmenter: Callable[[np.ndarray], ImageBuffer],
     log_file = open(log_path, "w") if log_path is not None else None
     try:
         for i, frame in enumerate(frames):
-            if expected_shape is None:
-                expected_shape = frame.shape
-            elif frame.shape != expected_shape:
-                raise ValueError(f"guard_run: frame {i} shape {frame.shape} drifted "
-                                 f"from {expected_shape}")
             t0 = time.perf_counter()
-            if injected_delay_ms > 0:
-                time.sleep(injected_delay_ms / 1000.0)
-            mask = segmenter(frame)
-            state, decision = guard_step(state, mask, region)
+            try:
+                if expected_shape is None:
+                    expected_shape = frame.shape
+                elif frame.shape != expected_shape:
+                    raise ValueError(f"guard_run: frame {i} shape {frame.shape} drifted "
+                                     f"from {expected_shape}")
+                if injected_delay_ms > 0:
+                    time.sleep(injected_delay_ms / 1000.0)
+                mask = segmenter(frame)
+                state, decision = guard_step(state, mask, region)
+                reason = "breach" if decision == HALT else ""
+            except Exception as exc:  # fail closed: an error on a frame is a HALT
+                state = replace(state, mode=OVERRIDE, frames_processed=state.frames_processed + 1)
+                decision, reason = HALT, f"error:{type(exc).__name__}"
             ms = (time.perf_counter() - t0) * 1000.0
-            reason = "breach" if decision == HALT else ""
-            if ms > budget.budget_ms and budget.policy == "abort-frame":
-                decision = HALT
-                reason = "latency"
+            if (ms > budget.budget_ms and budget.policy == "abort-frame"
+                    and not reason.startswith("error:")):
+                decision, reason = HALT, "latency"
             event = GuardEvent(i, ms, state.last_breach_fraction, state.mode,
                                decision, reason)
             events.append(event)

@@ -200,20 +200,3 @@ class Discriminator:
         x = T.conv2d(x, p["final.weight"], p["final.bias"], stride=1, padding=1)
         return T.sigmoid(x)
 
-
-def build_generator(cfg: UNetConfig, seed: int = 0) -> Generator:
-    return Generator(cfg, seed)
-
-
-def generator_forward(gen: Generator, condition: Tensor, mode: str = "infer",
-                      seed: int = 0) -> Tensor:
-    return gen.forward(condition, mode=mode, seed=seed)
-
-
-def build_discriminator(cfg: DiscriminatorConfig, seed: int = 0) -> Discriminator:
-    return Discriminator(cfg, seed)
-
-
-def discriminator_forward(disc: Discriminator, condition: Tensor,
-                          candidate: Tensor) -> Tensor:
-    return disc.forward(condition, candidate)

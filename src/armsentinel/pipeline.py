@@ -114,6 +114,8 @@ def read_netpbm(path: str | Path) -> ImageBuffer:
         width, height, maxval = int(w_tok), int(h_tok), int(m_tok)
     except (ValueError, NetpbmError) as exc:
         raise NetpbmError(f"{path}: malformed header ({exc})") from exc
+    if width < 1 or height < 1:
+        raise NetpbmError(f"{path}: non-positive dimensions {width}x{height}")
     if maxval != 255:
         raise NetpbmError(f"{path}: unsupported maxval {maxval}, only 255")
     pos += 1  # single whitespace byte after maxval

@@ -20,7 +20,6 @@ __all__ = [
     "relu",
     "leaky_relu",
     "sigmoid",
-    "tanh",
     "dropout",
     "instance_norm",
     "concat",
@@ -314,10 +313,6 @@ def sigmoid(x: Tensor) -> Tensor:
         return out
 
     return _unary(x, fwd, lambda g, a, o: g * o * (1.0 - o), "sigmoid")
-
-
-def tanh(x: Tensor) -> Tensor:
-    return _unary(x, np.tanh, lambda g, a, o: g * (1.0 - o * o), "tanh")
 
 
 def log(x: Tensor) -> Tensor:

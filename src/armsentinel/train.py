@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import csv
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np

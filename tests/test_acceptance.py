@@ -1,14 +1,23 @@
 """Acceptance gate: one test per release criterion, each printing a single
 PASS line with its measured figure.  The trained-run criteria share one
-session fixture (about 200 pairs at 64x64, 60 epochs) and are slow by design.
+session fixture (about 200 pairs at 64x64, 60 epochs) and are slow by design;
+criterion 9's full rerun trains in a second child process at the same time.
+
+Run as a script, `python tests/test_acceptance.py ROOT` trains one full run
+into ROOT.
 """
 
 import math
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import armsentinel
 from armsentinel.evaluate import compare_checkpoints, single_arm_probe
 from armsentinel.gradcheck import (DEFAULT_SHAPES, finite_difference_check,
                                    registered_primitives)
@@ -37,19 +46,55 @@ def _train_full(root):
                       learning_rate=2e-4, l1_weight=100.0, seed=TRAIN_SEED,
                       manifest_path=str(data / "manifest.json"),
                       output_dir=str(root / "run"))
-    ckpts, records = train(cfg, GEN_CFG, DISC_CFG, progress=False)
-    return cfg, ckpts, records
+    train(cfg, GEN_CFG, DISC_CFG, progress=False)
+
+
+TRAIN_TIMEOUT_S = 3600.0
+
+
+def _spawn_full_training(root):
+    """Start `_train_full(root)` in a child process with single-threaded BLAS."""
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
+               MKL_NUM_THREADS="1")
+    src = str(Path(armsentinel.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return subprocess.Popen([sys.executable, __file__, str(root)], env=env)
+
+
+def _await_training(proc, root):
+    """Wait for a child started by `_spawn_full_training`; its checkpoints in order."""
+    try:
+        code = proc.wait(timeout=TRAIN_TIMEOUT_S)
+    except subprocess.TimeoutExpired:
+        proc.kill()
+        proc.wait()
+        pytest.fail(f"training into {root} took over {TRAIN_TIMEOUT_S:.0f} s")
+    assert code == 0, f"training into {root} exited with code {code}"
+    return sorted((root / "run").glob("ckpt_epoch_*.bin"))
 
 
 @pytest.fixture(scope="session")
-def full_run(tmp_path_factory):
-    root = tmp_path_factory.mktemp("acceptance")
-    cfg, ckpts, records = _train_full(root)
+def trainings(tmp_path_factory):
+    """The first run and criterion 9's rerun, started together as (process, root)."""
+    roots = [tmp_path_factory.mktemp("acceptance"),
+             tmp_path_factory.mktemp("acceptance_rerun")]
+    runs = [(_spawn_full_training(root), root) for root in roots]
+    yield runs
+    for proc, _ in runs:
+        if proc.poll() is None:
+            proc.kill()
+            proc.wait()
+
+
+@pytest.fixture(scope="session")
+def full_run(trainings):
+    proc, root = trainings[0]
+    ckpts = _await_training(proc, root)
     held = load_manifest(root / "held" / "manifest.json")
     eval_dir = root / "eval"
     report = compare_checkpoints(root / "run" / "ckpt_epoch_0001.bin", ckpts[-1],
                                  held, GEN_CFG, out_dir=eval_dir)
-    return {"root": root, "cfg": cfg, "ckpts": ckpts, "records": records,
+    return {"root": root, "ckpts": ckpts,
             "held": held, "held_path": root / "held" / "manifest.json",
             "first_ckpt": root / "run" / "ckpt_epoch_0001.bin",
             "final_ckpt": ckpts[-1], "eval_dir": eval_dir, "report": report}
@@ -256,9 +301,9 @@ def test_criterion_8_single_arm_probe(full_run):
           f"{single_iou:.3f} vs two-arm {two_iou:.3f} (reported, not gated)")
 
 
-def test_criterion_9_reproducibility(full_run, tmp_path_factory):
-    root2 = tmp_path_factory.mktemp("acceptance_rerun")
-    cfg2, ckpts2, _ = _train_full(root2)
+def test_criterion_9_reproducibility(full_run, trainings):
+    proc2, root2 = trainings[1]
+    ckpts2 = _await_training(proc2, root2)
     root1 = full_run["root"]
 
     names = sorted(p.name for p in (root1 / "run").glob("ckpt_epoch_*.bin"))
@@ -283,3 +328,7 @@ def test_criterion_9_reproducibility(full_run, tmp_path_factory):
         loss_columns(root2 / "run" / "epochs.csv")
     print(f"\n[criterion 9] PASS reproducibility, {len(names)} checkpoints and "
           "all evaluation CSVs bit-identical across a full rerun")
+
+
+if __name__ == "__main__":
+    _train_full(Path(sys.argv[1]))

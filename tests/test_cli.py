@@ -1,8 +1,13 @@
 import json
 
+import numpy as np
 import pytest
 
 from armsentinel.cli import main
+from armsentinel.evaluate import predict_mask
+from armsentinel.guard import make_segmenter
+from armsentinel.pipeline import load_manifest, write_netpbm
+from armsentinel.train import load_checkpoint
 from tests.conftest import SMALL_GEN_CFG, SMALL_SCENE
 
 
@@ -101,7 +106,15 @@ class TestEndToEnd:
 
         assert main(["infer", "--ckpt", final, "--manifest", manifest,
                      "--out", str(tmp_path / "preds"), "--config", cfg]) == 0
-        assert (tmp_path / "preds" / "pred_00000.pgm").exists()
+        # infer, guard and eval share one inference path.
+        gen, *_ = load_checkpoint(final, SMALL_GEN_CFG)
+        cond = load_manifest(manifest).load_pairs_unit_interval()[0][0]
+        raw, binary = predict_mask(gen, cond)
+        write_netpbm(raw, tmp_path / "expected.pgm")
+        assert ((tmp_path / "preds" / "pred_00000.pgm").read_bytes()
+                == (tmp_path / "expected.pgm").read_bytes())
+        mask = make_segmenter(final, SMALL_GEN_CFG)(cond)
+        assert np.array_equal(mask.pixels, binary.pixels)
 
         assert main(["eval", "--ckpt-baseline", first, "--ckpt", final,
                      "--manifest", manifest, "--out", str(tmp_path / "eval"),

@@ -10,6 +10,7 @@ from armsentinel.guard import (BREACH, HALT, NOMINAL, OVERRIDE, PROCEED,
                                LatencyReport, SafeRegion, guard_run, guard_step,
                                make_segmenter, reset_override, time_inference)
 from armsentinel.pipeline import ImageBuffer, load_manifest
+from armsentinel.tensor import NonFiniteError
 from tests.conftest import SMALL_GEN_CFG
 
 
@@ -253,8 +254,31 @@ class TestGuardRun:
 
     def test_frame_drift_rejected(self, region):
         frames = [np.zeros((20, 20), dtype=np.uint8), np.zeros((10, 10), dtype=np.uint8)]
-        with pytest.raises(ValueError, match="drifted"):
-            guard_run(truth_segmenter, frames, region, LatencyBudget())
+        events = guard_run(truth_segmenter, frames, region, LatencyBudget())
+        assert [e.decision for e in events] == [PROCEED, HALT]
+        assert events[1].reason == "error:ValueError"
+        assert events[1].mode == OVERRIDE
+
+    def test_segmenter_error_fails_closed(self, region, tmp_path):
+        # The segmenter raises on frame 2 of 5: that frame and every later
+        # one is HALT, and each frame still gets exactly one logged event.
+        frames = self.make_frames([0.0] * 5, region)
+        calls = []
+
+        def flaky(frame):
+            calls.append(frame)
+            if len(calls) == 3:
+                raise NonFiniteError("sigmoid: non-finite values in result")
+            return truth_segmenter(frame)
+
+        log = tmp_path / "events.jsonl"
+        events = guard_run(flaky, frames, region, LatencyBudget(), log_path=log)
+        assert [e.decision for e in events] == [PROCEED, PROCEED, HALT, HALT, HALT]
+        assert events[2].reason == "error:NonFiniteError"
+        assert all(e.mode == OVERRIDE for e in events[2:])
+        lines = [json.loads(l) for l in log.read_text().splitlines()]
+        assert [l["frame"] for l in lines] == [0, 1, 2, 3, 4]
+        assert lines[2]["reason"] == "error:NonFiniteError"
 
     def test_checkpoint_segmenter_shape(self, small_run):
         segment = make_segmenter(small_run["final_ckpt"], SMALL_GEN_CFG)

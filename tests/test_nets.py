@@ -1,8 +1,7 @@
 import numpy as np
 import pytest
 
-from armsentinel.nets import (DiscriminatorConfig, Discriminator, Generator,
-                              UNetConfig, build_discriminator, build_generator)
+from armsentinel.nets import DiscriminatorConfig, Discriminator, Generator, UNetConfig
 from armsentinel.tensor import ShapeError, Tensor
 
 
@@ -34,30 +33,30 @@ def expected_generator_params(cfg: UNetConfig) -> int:
 class TestGeneratorBuild:
     def test_parameter_count_default_config(self):
         cfg = UNetConfig(in_channels=3, out_channels=1, base_filters=16, depth=4)
-        gen = build_generator(cfg, seed=0)
+        gen = Generator(cfg, seed=0)
         assert gen.store.parameter_count() == expected_generator_params(cfg)
         assert gen.store.parameter_count() == 394817  # hand-computed for this config
 
     def test_same_seed_bit_identical(self):
-        a = build_generator(UNetConfig(), seed=42)
-        b = build_generator(UNetConfig(), seed=42)
+        a = Generator(UNetConfig(), seed=42)
+        b = Generator(UNetConfig(), seed=42)
         for (na, ta), (nb, tb) in zip(a.store.params.items(), b.store.params.items()):
             assert na == nb
             assert np.array_equal(ta.data, tb.data)
 
     def test_different_seed_differs(self):
-        a = build_generator(UNetConfig(), seed=1)
-        b = build_generator(UNetConfig(), seed=2)
+        a = Generator(UNetConfig(), seed=1)
+        b = Generator(UNetConfig(), seed=2)
         assert not np.array_equal(a.store.params["enc0.weight"].data,
                                   b.store.params["enc0.weight"].data)
 
     def test_minimal_network(self):
-        gen = build_generator(UNetConfig(depth=2, base_filters=1), seed=0)
+        gen = Generator(UNetConfig(depth=2, base_filters=1), seed=0)
         out = gen.forward(rand_input((1, 3, 4, 4)))
         assert out.shape == (1, 1, 4, 4)
 
     def test_init_distribution(self):
-        gen = build_generator(UNetConfig(), seed=3)
+        gen = Generator(UNetConfig(), seed=3)
         w = gen.store.params["dec0.weight"].data
         assert abs(w.mean()) < 0.005
         assert abs(w.std() - 0.02) < 0.005
@@ -65,37 +64,37 @@ class TestGeneratorBuild:
 
 class TestGeneratorForward:
     def test_shape_preservation(self):
-        gen = build_generator(UNetConfig(), seed=0)
+        gen = Generator(UNetConfig(), seed=0)
         out = gen.forward(rand_input((1, 3, 64, 64)))
         assert out.shape == (1, 1, 64, 64)
 
     def test_output_in_open_unit_interval(self):
-        gen = build_generator(UNetConfig(), seed=0)
+        gen = Generator(UNetConfig(), seed=0)
         out = gen.forward(rand_input((2, 3, 32, 32), seed=5))
         assert out.data.min() > 0.0
         assert out.data.max() < 1.0
 
     def test_infer_mode_deterministic(self):
-        gen = build_generator(UNetConfig(), seed=0)
+        gen = Generator(UNetConfig(), seed=0)
         x = rand_input((1, 3, 32, 32), seed=1)
         a = gen.forward(x, mode="infer", seed=1)
         b = gen.forward(x, mode="infer", seed=2)
         assert np.array_equal(a.data, b.data)
 
     def test_train_mode_seeds_differ(self):
-        gen = build_generator(UNetConfig(), seed=0)
+        gen = Generator(UNetConfig(), seed=0)
         x = rand_input((1, 3, 32, 32), seed=1)
         a = gen.forward(x, mode="train", seed=1)
         b = gen.forward(x, mode="train", seed=2)
         assert not np.array_equal(a.data, b.data)
 
     def test_divisibility_error_names_multiple(self):
-        gen = build_generator(UNetConfig(depth=4), seed=0)
+        gen = Generator(UNetConfig(depth=4), seed=0)
         with pytest.raises(ShapeError, match="multiples of 16"):
             gen.forward(rand_input((1, 3, 24, 24)))
 
     def test_batch_permutation_equivariance(self):
-        gen = build_generator(UNetConfig(), seed=0)
+        gen = Generator(UNetConfig(), seed=0)
         x = np.random.default_rng(8).random((3, 3, 32, 32)).astype(np.float32)
         out = gen.forward(Tensor(x)).data
         perm = [2, 0, 1]
@@ -106,7 +105,7 @@ class TestGeneratorForward:
         # Zero every bottleneck-path decoder weight: input gradients must
         # still be non-zero through the skip concatenations.
         from armsentinel import tensor as T
-        gen = build_generator(UNetConfig(depth=3, base_filters=4), seed=0)
+        gen = Generator(UNetConfig(depth=3, base_filters=4), seed=0)
         gen.store.params["dec0.weight"].data[...] = 0.0
         x = Tensor(np.random.default_rng(9).random((1, 3, 16, 16)).astype(np.float32),
                    requires_grad=True)
@@ -119,43 +118,43 @@ class TestDiscriminator:
     def test_patch_map_shape_64(self):
         # Shape oracle: three 4/2/1 stages 64->32->16->8, then two 4/1/1
         # stages 8->7->6.
-        disc = build_discriminator(DiscriminatorConfig(num_layers=3), seed=0)
+        disc = Discriminator(DiscriminatorConfig(num_layers=3), seed=0)
         cond = rand_input((2, 3, 64, 64))
         label = rand_input((2, 1, 64, 64), seed=1)
         out = disc.forward(cond, label)
         assert out.shape == (2, 1, 6, 6)
 
     def test_scores_in_open_unit_interval(self):
-        disc = build_discriminator(DiscriminatorConfig(), seed=0)
+        disc = Discriminator(DiscriminatorConfig(), seed=0)
         out = disc.forward(rand_input((1, 3, 64, 64)), rand_input((1, 1, 64, 64), seed=2))
         assert out.data.min() > 0.0
         assert out.data.max() < 1.0
 
     def test_same_seed_identical_params(self):
-        a = build_discriminator(DiscriminatorConfig(), seed=7)
-        b = build_discriminator(DiscriminatorConfig(), seed=7)
+        a = Discriminator(DiscriminatorConfig(), seed=7)
+        b = Discriminator(DiscriminatorConfig(), seed=7)
         for ta, tb in zip(a.store.tensors(), b.store.tensors()):
             assert np.array_equal(ta.data, tb.data)
 
     def test_minimal_two_layers(self):
-        disc = build_discriminator(DiscriminatorConfig(base_filters=2, num_layers=2), seed=0)
+        disc = Discriminator(DiscriminatorConfig(base_filters=2, num_layers=2), seed=0)
         out = disc.forward(rand_input((1, 3, 16, 16)), rand_input((1, 1, 16, 16), seed=3))
         assert out.shape[0:2] == (1, 1)
 
     def test_candidate_sensitivity(self):
-        disc = build_discriminator(DiscriminatorConfig(), seed=0)
+        disc = Discriminator(DiscriminatorConfig(), seed=0)
         cond = rand_input((1, 3, 64, 64))
         a = disc.forward(cond, rand_input((1, 1, 64, 64), seed=4))
         b = disc.forward(cond, rand_input((1, 1, 64, 64), seed=5))
         assert not np.array_equal(a.data, b.data)
 
     def test_batch_doubling(self):
-        disc = build_discriminator(DiscriminatorConfig(), seed=0)
+        disc = Discriminator(DiscriminatorConfig(), seed=0)
         one = disc.forward(rand_input((1, 3, 64, 64)), rand_input((1, 1, 64, 64), seed=6))
         two = disc.forward(rand_input((2, 3, 64, 64)), rand_input((2, 1, 64, 64), seed=6))
         assert two.shape == (2,) + one.shape[1:]
 
     def test_spatial_mismatch(self):
-        disc = build_discriminator(DiscriminatorConfig(), seed=0)
+        disc = Discriminator(DiscriminatorConfig(), seed=0)
         with pytest.raises(ShapeError, match="spatial"):
             disc.forward(rand_input((1, 3, 64, 64)), rand_input((1, 1, 32, 32)))

@@ -63,6 +63,15 @@ class TestNetpbm:
         with pytest.raises(NetpbmError, match="maxval"):
             read_netpbm(path)
 
+    @pytest.mark.parametrize("header", [b"P5\n-2 3\n255\n", b"P5\n0 3\n255\n",
+                                        b"P6\n-1 -1\n255\n"],
+                             ids=["p5-negative-width", "p5-zero-width", "p6-negative"])
+    def test_non_positive_dimensions(self, tmp_path, header):
+        path = tmp_path / "d.pnm"
+        path.write_bytes(header + b"\x00" * 9)
+        with pytest.raises(NetpbmError, match="non-positive"):
+            read_netpbm(path)
+
 
 class TestCombineLabels:
     def test_disjoint_union_counts(self):
