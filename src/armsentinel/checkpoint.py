@@ -7,6 +7,7 @@ payload.  Round-trips are bit-exact.
 
 from __future__ import annotations
 
+import math
 import struct
 from pathlib import Path
 
@@ -51,11 +52,13 @@ def load_tensors(path: str | Path) -> dict[str, np.ndarray]:
     tensors: dict[str, np.ndarray] = {}
     for _ in range(count):
         (name_len,) = struct.unpack("<I", take(4))
-        name = take(name_len).decode("utf-8")
+        try:
+            name = take(name_len).decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise CheckpointError(f"{path}: tensor name is not UTF-8 ({exc})") from exc
         (rank,) = struct.unpack("<I", take(4))
         dims = struct.unpack(f"<{rank}I", take(4 * rank))
-        size = int(np.prod(dims)) if rank else 1
-        payload = take(4 * size)
+        payload = take(4 * math.prod(dims))  # exact: np.prod wraps at 2**63
         tensors[name] = np.frombuffer(payload, dtype="<f4").reshape(dims).copy()
     if pos != len(raw):
         raise CheckpointError(f"{path}: {len(raw) - pos} trailing bytes after last tensor")

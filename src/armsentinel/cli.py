@@ -11,6 +11,7 @@ import argparse
 import dataclasses
 import json
 import sys
+import typing
 from pathlib import Path
 
 import numpy as np
@@ -50,15 +51,30 @@ _SECTIONS = {
     "region": None,  # validated separately
 }
 
-_REGION_KEYS = {"permitted_rect", "breach_fraction_threshold",
-                "consecutive_frames_to_override"}
+_REGION_TYPES = {"permitted_rect": tuple[int, int, int, int],
+                 "breach_fraction_threshold": float,
+                 "consecutive_frames_to_override": int}
+
+
+def _json_fits(value, hint) -> bool:
+    """Whether a JSON value fits a field type: ints pass for floats, lists for tuples."""
+    if typing.get_origin(hint) is tuple:
+        args = typing.get_args(hint)
+        return (isinstance(value, list) and len(value) == len(args)
+                and all(_json_fits(v, a) for v, a in zip(value, args)))
+    if hint is float:
+        return type(value) in (int, float)
+    return type(value) is hint
 
 
 def load_config(path: str | None) -> dict:
-    """Strict JSON config: unknown sections or keys are rejected."""
+    """Strict JSON config: unknown sections or keys and mistyped values are rejected."""
     if path is None:
         return {}
-    doc = json.loads(Path(path).read_text())
+    try:
+        doc = json.loads(Path(path).read_text())
+    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
+        raise ConfigError(f"config {path}: not valid JSON ({exc})") from exc
     if not isinstance(doc, dict):
         raise ConfigError(f"config {path}: top level must be an object")
     for section, body in doc.items():
@@ -67,11 +83,15 @@ def load_config(path: str | None) -> dict:
         if not isinstance(body, dict):
             raise ConfigError(f"config {path}: section '{section}' must be an object")
         cls = _SECTIONS[section]
-        allowed = (_REGION_KEYS if cls is None
-                   else {f.name for f in dataclasses.fields(cls)})
-        for key in body:
-            if key not in allowed:
+        types = _REGION_TYPES if cls is None else typing.get_type_hints(cls)
+        for key, value in body.items():
+            if key not in types:
                 raise ConfigError(f"config {path}: unknown key '{key}' in '{section}'")
+            hint = types[key]
+            if not _json_fits(value, hint):
+                want = hint.__name__ if isinstance(hint, type) else str(hint)
+                raise ConfigError(f"config {path}: '{section}.{key}' must be {want}, "
+                                  f"got {json.dumps(value)}")
     return doc
 
 

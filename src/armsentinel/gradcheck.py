@@ -56,23 +56,13 @@ def _away_from_zero(a: np.ndarray, margin: float = 0.1) -> np.ndarray:
     return np.where(np.abs(a) < margin, a + margin * np.where(a >= 0, 1.0, -1.0), a)
 
 
-def _build_conv2d(stride, padding):
+def _build_conv(op, bias_axis, stride, padding):
     def build(shapes, rng):
         x_shape, k_shape = shapes
         x = _leaf(rng.standard_normal(x_shape))
         k = _leaf(rng.standard_normal(k_shape))
-        b = _leaf(rng.standard_normal(k_shape[0]))
-        return [x, k, b], lambda i: T.conv2d(i[0], i[1], i[2], stride, padding)
-    return build
-
-
-def _build_conv_transpose2d(stride, padding):
-    def build(shapes, rng):
-        x_shape, k_shape = shapes
-        x = _leaf(rng.standard_normal(x_shape))
-        k = _leaf(rng.standard_normal(k_shape))
-        b = _leaf(rng.standard_normal(k_shape[1]))
-        return [x, k, b], lambda i: T.conv_transpose2d(i[0], i[1], i[2], stride, padding)
+        b = _leaf(rng.standard_normal(k_shape[bias_axis]))
+        return [x, k, b], lambda i: op(i[0], i[1], i[2], stride, padding)
     return build
 
 
@@ -113,10 +103,11 @@ def _build_binary(op):
     return build
 
 
-register_primitive("conv2d", _build_conv2d(stride=1, padding=1))
-register_primitive("conv2d_strided", _build_conv2d(stride=2, padding=1))
-register_primitive("conv_transpose2d", _build_conv_transpose2d(stride=1, padding=0))
-register_primitive("conv_transpose2d_strided", _build_conv_transpose2d(stride=2, padding=1))
+register_primitive("conv2d", _build_conv(T.conv2d, 0, stride=1, padding=1))
+register_primitive("conv2d_strided", _build_conv(T.conv2d, 0, stride=2, padding=1))
+register_primitive("conv_transpose2d", _build_conv(T.conv_transpose2d, 1, stride=1, padding=0))
+register_primitive("conv_transpose2d_strided",
+                   _build_conv(T.conv_transpose2d, 1, stride=2, padding=1))
 register_primitive("relu", _build_unary(T.relu, _away_from_zero))
 register_primitive("leaky_relu", _build_unary(lambda x: T.leaky_relu(x, 0.2), _away_from_zero))
 register_primitive("sigmoid", _build_unary(T.sigmoid))

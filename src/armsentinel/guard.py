@@ -6,6 +6,8 @@ frames before latching an absorbing OVERRIDE.  `guard_run` gives every frame
 exactly one event: an error while handling a frame (segmenter, interlock or
 frame-shape drift) is HALT with reason "error:<type>" and latches OVERRIDE,
 and a budget miss under abort-frame is HALT; no error ever yields PROCEED.
+An interlock HALT's reason is "breach" on the frame that latches OVERRIDE
+and "override" on each later frame the latch absorbs.
 """
 
 from __future__ import annotations
@@ -42,7 +44,7 @@ class LatencyBudget:
     policy: str = "record"  # "record" | "abort-frame"
 
     def __post_init__(self):
-        if self.budget_ms <= 0:
+        if not self.budget_ms > 0:  # also rejects NaN, which no frame time exceeds
             raise ValueError(f"LatencyBudget: budget_ms must be > 0, got {self.budget_ms}")
         if self.policy not in ("record", "abort-frame"):
             raise ValueError(f"LatencyBudget: unknown policy {self.policy!r}")
@@ -206,6 +208,7 @@ def guard_run(segmenter: Callable[[np.ndarray], ImageBuffer],
     Under the abort-frame policy a frame that misses its budget is HALT with
     reason "latency" regardless of the interlock outcome (fail closed); a frame
     whose handling raises is HALT with reason "error:<type>" and latches OVERRIDE.
+    Frames after the latch are HALT with reason "override".
     `segmenter` is any frame -> binary-mask callable; tests substitute a
     ground-truth oracle for the trained generator.
     """
@@ -225,8 +228,9 @@ def guard_run(segmenter: Callable[[np.ndarray], ImageBuffer],
                 if injected_delay_ms > 0:
                     time.sleep(injected_delay_ms / 1000.0)
                 mask = segmenter(frame)
+                latched = state.mode == OVERRIDE
                 state, decision = guard_step(state, mask, region)
-                reason = "breach" if decision == HALT else ""
+                reason = ("override" if latched else "breach") if decision == HALT else ""
             except Exception as exc:  # fail closed: an error on a frame is a HALT
                 state = replace(state, mode=OVERRIDE, frames_processed=state.frames_processed + 1)
                 decision, reason = HALT, f"error:{type(exc).__name__}"

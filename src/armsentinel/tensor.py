@@ -164,49 +164,69 @@ class Tensor:
 
 
 # ---------------------------------------------------------------------------
-# convolution
+# convolution: conv2d and conv_transpose2d share one adjoint pair of lowerings
 
 
-def _pad2d(x: np.ndarray, p: int) -> np.ndarray:
-    if p == 0:
-        return x
-    return np.pad(x, ((0, 0), (0, 0), (p, p), (p, p)))
+def _gather(x: np.ndarray, kernel: np.ndarray, stride: int, padding: int,
+            ho: int, wo: int) -> tuple[np.ndarray, np.ndarray]:
+    """Contract the strided (N, C, K, K, Ho, Wo) patches of padded `x` with
+    kernel axis 1; returns the C-contiguous NCHW result and the patches."""
+    if padding:
+        x = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
+    k = kernel.shape[2]
+    sn, sc, sh, sw = x.strides
+    patches = np.lib.stride_tricks.as_strided(
+        x, x.shape[:2] + (k, k, ho, wo), (sn, sc, sh, sw, sh * stride, sw * stride),
+        writeable=False)
+    out = np.tensordot(patches, kernel, axes=([1, 2, 3], [1, 2, 3]))  # (N,Ho,Wo,O)
+    return np.ascontiguousarray(out.transpose(0, 3, 1, 2)), patches
 
 
-def _col_view(xp: np.ndarray, k: int, s: int, ho: int, wo: int) -> np.ndarray:
-    """Strided (N, C, K, K, Ho, Wo) patch view of a padded input."""
-    n, c = xp.shape[:2]
-    sn, sc, sh, sw = xp.strides
-    return np.lib.stride_tricks.as_strided(
-        xp, (n, c, k, k, ho, wo), (sn, sc, sh, sw, sh * s, sw * s), writeable=False)
+def _scatter(x: np.ndarray, kernel: np.ndarray, stride: int, padding: int,
+             ho: int, wo: int) -> np.ndarray:
+    """Adjoint of `_gather`: contract `x` with kernel axis 0, overlap-add the
+    taps in `x.dtype`, then crop `padding`; returns an NCHW view."""
+    n, _, h, w = x.shape
+    k = kernel.shape[2]
+    cols = np.tensordot(x, kernel, axes=([1], [0])).transpose(0, 3, 4, 5, 1, 2)  # (N,O,K,K,H,W)
+    full = np.zeros((n, cols.shape[1], ho + 2 * padding, wo + 2 * padding), dtype=x.dtype)
+    for i in range(k):
+        for j in range(k):
+            full[:, :, i:i + stride * h:stride, j:j + stride * w:stride] += cols[:, :, i, j]
+    return full[:, :, padding:padding + ho, padding:padding + wo]
+
+
+def _check_conv(op: str, x: Tensor, kernel: Tensor, bias: Tensor, stride: int,
+                padding: int, in_axis: int) -> tuple[int, int, int]:
+    """Checks shared by both ops; kernel axis `in_axis` must match the input
+    channels.  Returns the input height and width and the kernel size."""
+    if stride < 1:
+        raise ShapeError(f"{op}: stride must be positive, got {stride}")
+    if padding < 0:
+        raise ShapeError(f"{op}: negative padding {padding}")
+    if x.data.ndim != 4 or kernel.data.ndim != 4:
+        raise ShapeError(f"{op}: need 4d input/kernel, got {x.shape}/{kernel.shape}")
+    _, c_in, h, w = x.shape
+    kc, c_out = kernel.shape[in_axis], kernel.shape[1 - in_axis]
+    kh, kw = kernel.shape[2:]
+    if kc != c_in:
+        raise ShapeError(f"{op}: input channels {c_in} != kernel channels {kc}")
+    if kh != kw:
+        raise ShapeError(f"{op}: non-square kernel {kh}x{kw}")
+    if bias.shape != (c_out,):
+        raise ShapeError(f"{op}: bias shape {bias.shape} != ({c_out},)")
+    return h, w, kh
 
 
 def conv2d(x: Tensor, kernel: Tensor, bias: Tensor, stride: int = 1,
            padding: int = 0) -> Tensor:
     """Strided cross-correlation, NCHW input against (C_out, C_in, K, K) kernel."""
-    if stride < 1:
-        raise ShapeError(f"conv2d: stride must be positive, got {stride}")
-    if padding < 0:
-        raise ShapeError(f"conv2d: negative padding {padding}")
-    if x.data.ndim != 4 or kernel.data.ndim != 4:
-        raise ShapeError(f"conv2d: need 4d input/kernel, got {x.shape}/{kernel.shape}")
-    n, c_in, h, w = x.shape
-    c_out, kc, kh, kw = kernel.shape
-    if kc != c_in:
-        raise ShapeError(f"conv2d: input channels {c_in} != kernel channels {kc}")
-    if kh != kw:
-        raise ShapeError(f"conv2d: non-square kernel {kh}x{kw}")
-    if h + 2 * padding < kh or w + 2 * padding < kw:
-        raise ShapeError(f"conv2d: spatial dims {h}x{w} (pad {padding}) smaller than kernel {kh}")
-    if bias.shape != (c_out,):
-        raise ShapeError(f"conv2d: bias shape {bias.shape} != ({c_out},)")
-
-    ho = (h + 2 * padding - kh) // stride + 1
-    wo = (w + 2 * padding - kw) // stride + 1
-    xp = _pad2d(x.data, padding)
-    cols = _col_view(xp, kh, stride, ho, wo)
-    out_data = np.tensordot(cols, kernel.data, axes=([1, 2, 3], [1, 2, 3]))
-    out_data = np.ascontiguousarray(out_data.transpose(0, 3, 1, 2))
+    h, w, k = _check_conv("conv2d", x, kernel, bias, stride, padding, in_axis=1)
+    if h + 2 * padding < k or w + 2 * padding < k:
+        raise ShapeError(f"conv2d: spatial dims {h}x{w} (pad {padding}) smaller than kernel {k}")
+    ho = (h + 2 * padding - k) // stride + 1
+    wo = (w + 2 * padding - k) // stride + 1
+    out_data, patches = _gather(x.data, kernel.data, stride, padding, ho, wo)
     out_data += bias.data[None, :, None, None]
     _check_finite(out_data, "conv2d")
     out = Tensor(out_data, requires_grad=True, op_tag="conv2d",
@@ -214,14 +234,8 @@ def conv2d(x: Tensor, kernel: Tensor, bias: Tensor, stride: int = 1,
 
     def backward(go):
         bias.grad += go.sum(axis=(0, 2, 3))
-        kernel.grad += np.tensordot(go, cols, axes=([0, 2, 3], [0, 4, 5]))
-        dcols = np.tensordot(go, kernel.data, axes=([1], [0]))  # (N,Ho,Wo,C,K,K)
-        dcols = dcols.transpose(0, 3, 4, 5, 1, 2)
-        dxp = np.zeros_like(xp)
-        for i in range(kh):
-            for j in range(kw):
-                dxp[:, :, i:i + stride * ho:stride, j:j + stride * wo:stride] += dcols[:, :, i, j]
-        x.grad += dxp[:, :, padding:padding + h, padding:padding + w]
+        kernel.grad += np.tensordot(go, patches, axes=([0, 2, 3], [0, 4, 5]))
+        x.grad += _scatter(go, kernel.data, stride, padding, h, w)
 
     out._backward = backward
     return out
@@ -234,30 +248,12 @@ def conv_transpose2d(x: Tensor, kernel: Tensor, bias: Tensor, stride: int = 1,
     Kernel layout is (C_in, C_out, K, K); output spatial dim is
     (H-1)*stride - 2*padding + K.
     """
-    if stride < 1:
-        raise ShapeError(f"conv_transpose2d: stride must be positive, got {stride}")
-    if x.data.ndim != 4 or kernel.data.ndim != 4:
-        raise ShapeError(f"conv_transpose2d: need 4d input/kernel, got {x.shape}/{kernel.shape}")
-    n, c_in, h, w = x.shape
-    kc, c_out, kh, kw = kernel.shape
-    if kc != c_in:
-        raise ShapeError(f"conv_transpose2d: input channels {c_in} != kernel channels {kc}")
-    if bias.shape != (c_out,):
-        raise ShapeError(f"conv_transpose2d: bias shape {bias.shape} != ({c_out},)")
-    ho = (h - 1) * stride - 2 * padding + kh
-    wo = (w - 1) * stride - 2 * padding + kw
+    h, w, k = _check_conv("conv_transpose2d", x, kernel, bias, stride, padding, in_axis=0)
+    ho = (h - 1) * stride - 2 * padding + k
+    wo = (w - 1) * stride - 2 * padding + k
     if ho < 1 or wo < 1:
         raise ShapeError(f"conv_transpose2d: computed output dims {ho}x{wo} not positive")
-
-    hf = (h - 1) * stride + kh
-    wf = (w - 1) * stride + kw
-    cols = np.tensordot(x.data, kernel.data, axes=([1], [0]))  # (N,H,W,O,K,K)
-    cols = cols.transpose(0, 3, 4, 5, 1, 2)
-    full = np.zeros((n, c_out, hf, wf), dtype=x.dtype)
-    for i in range(kh):
-        for j in range(kw):
-            full[:, :, i:i + stride * h:stride, j:j + stride * w:stride] += cols[:, :, i, j]
-    out_data = full[:, :, padding:hf - padding, padding:wf - padding].copy()
+    out_data = np.ascontiguousarray(_scatter(x.data, kernel.data, stride, padding, ho, wo))
     out_data += bias.data[None, :, None, None]
     _check_finite(out_data, "conv_transpose2d")
     out = Tensor(out_data, requires_grad=True, op_tag="conv_transpose2d",
@@ -265,11 +261,9 @@ def conv_transpose2d(x: Tensor, kernel: Tensor, bias: Tensor, stride: int = 1,
 
     def backward(go):
         bias.grad += go.sum(axis=(0, 2, 3))
-        gop = _pad2d(go, padding)
-        dcols = _col_view(gop, kh, stride, h, w)  # (N,O,K,K,H,W)
-        dx = np.tensordot(dcols, kernel.data, axes=([1, 2, 3], [1, 2, 3]))  # (N,H,W,C_in)
-        x.grad += dx.transpose(0, 3, 1, 2)
-        kernel.grad += np.tensordot(x.data, dcols, axes=([0, 2, 3], [0, 4, 5]))
+        dx, patches = _gather(go, kernel.data, stride, padding, h, w)
+        x.grad += dx
+        kernel.grad += np.tensordot(x.data, patches, axes=([0, 2, 3], [0, 4, 5]))
 
     out._backward = backward
     return out

@@ -1,5 +1,9 @@
+import struct
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from armsentinel.checkpoint import MAGIC, CheckpointError, load_tensors, save_tensors
 
@@ -60,3 +64,43 @@ def test_trailing_garbage(tmp_path):
     path.write_bytes(path.read_bytes() + b"xx")
     with pytest.raises(CheckpointError, match="trailing"):
         load_tensors(path)
+
+
+def one_tensor(name: bytes, dims, payload: bytes = b"") -> bytes:
+    """A one-tensor container with arbitrary name bytes and dims."""
+    return (MAGIC + struct.pack("<II", 1, len(name)) + name
+            + struct.pack(f"<I{len(dims)}I", len(dims), *dims) + payload)
+
+
+def test_non_utf8_name(tmp_path):
+    path = tmp_path / "name.bin"
+    path.write_bytes(one_tensor(b"\xff", [1], bytes(4)))
+    with pytest.raises(CheckpointError, match="not UTF-8"):
+        load_tensors(path)
+
+
+def test_dims_product_past_int64(tmp_path):
+    # 65536**4 == 2**64, which a fixed-width product wraps to 0 bytes.
+    path = tmp_path / "dims.bin"
+    path.write_bytes(one_tensor(b"w", [65536] * 4))
+    with pytest.raises(CheckpointError, match="truncated"):
+        load_tensors(path)
+
+
+checkpoint_bytes = st.one_of(
+    st.binary(max_size=64),
+    st.binary(max_size=64).map(lambda tail: MAGIC + tail),
+    st.builds(one_tensor, st.binary(max_size=6),
+              st.lists(st.integers(0, 2**32 - 1), max_size=4), st.binary(max_size=32)))
+
+
+@given(raw=checkpoint_bytes)
+@settings(max_examples=200, deadline=None)
+def test_fuzz_only_checkpoint_error(tmp_path_factory, raw):
+    path = tmp_path_factory.mktemp("fuzz") / "f.bin"
+    path.write_bytes(raw)
+    try:
+        tensors = load_tensors(path)
+    except CheckpointError:
+        return
+    assert all(arr.dtype == np.float32 for arr in tensors.values())

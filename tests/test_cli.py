@@ -2,8 +2,10 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from armsentinel.cli import main
+from armsentinel.cli import ConfigError, load_config, main
 from armsentinel.evaluate import predict_mask
 from armsentinel.guard import make_segmenter
 from armsentinel.pipeline import load_manifest, write_netpbm
@@ -78,6 +80,26 @@ class TestDataErrors:
                      "--config", str(cfg)])
         assert code == 2
 
+    @pytest.mark.parametrize("doc", [{"scene": {"width": "64"}},
+                                     {"budget": {"budget_ms": "300"}},
+                                     {"region": {"permitted_rect": [0, 0, 8]}},
+                                     {"train": {"saturating_loss": 1}}],
+                             ids=["str-for-int", "str-for-float", "short-list", "int-for-bool"])
+    def test_mistyped_config_value(self, tmp_path, capsys, doc):
+        cfg = tmp_path / "bad.json"
+        cfg.write_text(json.dumps(doc))
+        code = main(["synth", "--count", "1", "--out", str(tmp_path / "d"),
+                     "--config", str(cfg)])
+        assert code == 2
+        assert "must be" in capsys.readouterr().err
+
+    def test_config_ints_for_floats_and_lists_for_tuples(self, tmp_path):
+        cfg = tmp_path / "ok.json"
+        doc = {"budget": {"budget_ms": 300}, "scene": {"arm_width_range": [0.1, 0.2]},
+               "region": {"permitted_rect": [0, 0, 8, 8]}}
+        cfg.write_text(json.dumps(doc))
+        assert load_config(str(cfg)) == doc
+
     def test_corrupt_checkpoint(self, tmp_path, small_run):
         bad = tmp_path / "bad.bin"
         bad.write_bytes(b"garbage")
@@ -85,6 +107,35 @@ class TestDataErrors:
                      "--manifest", str(small_run["manifest_path"]),
                      "--out", str(tmp_path / "out")])
         assert code == 2
+
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=6), inner,
+                                                                max_size=3),
+    max_leaves=8)
+config_keys = st.sampled_from(["width", "seed", "arm_width_range", "learning_rate",
+                               "saturating_loss", "output_dir", "depth", "budget_ms",
+                               "policy", "permitted_rect", "breach_fraction_threshold",
+                               "consecutive_frames_to_override", "bogus"])
+config_docs = st.dictionaries(
+    st.sampled_from(["scene", "train", "generator", "discriminator", "budget", "region",
+                     "bogus"]),
+    st.dictionaries(config_keys, json_values, max_size=3) | json_values, max_size=3)
+config_bytes = st.one_of(st.binary(max_size=64),
+                         json_values.map(lambda v: json.dumps(v).encode()),
+                         config_docs.map(lambda d: json.dumps(d).encode()))
+
+
+@given(raw=config_bytes)
+@settings(max_examples=200, deadline=None)
+def test_config_fuzz_only_config_error(tmp_path_factory, raw):
+    path = tmp_path_factory.mktemp("fuzz") / "c.json"
+    path.write_bytes(raw)
+    try:
+        assert isinstance(load_config(str(path)), dict)
+    except ConfigError:
+        pass
 
 
 class TestEndToEnd:

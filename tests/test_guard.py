@@ -128,7 +128,8 @@ class TestGuardProperties:
         for f in fractions:
             state, d = guard_step(state, mask_of(f, region), region)
             decisions.append(d)
-        breach = [f > region.breach_fraction_threshold for f in fractions]
+        # mask_of sets 100 arm pixels, so each frame realizes round(100 f) / 100.
+        breach = [round(100 * f) / 100 > region.breach_fraction_threshold for f in fractions]
         first_halt = next((i for i in range(1, len(breach))
                            if breach[i] and breach[i - 1]), None)
         for i, d in enumerate(decisions):
@@ -192,6 +193,8 @@ class TestLatencyReport:
     def test_budget_validation(self):
         with pytest.raises(ValueError, match="budget_ms"):
             LatencyBudget(budget_ms=0.0)
+        with pytest.raises(ValueError, match="budget_ms"):
+            LatencyBudget(budget_ms=float("nan"))
         with pytest.raises(ValueError, match="policy"):
             LatencyBudget(policy="panic")
 
@@ -234,6 +237,8 @@ class TestGuardRun:
         assert [e.decision for e in events] == [PROCEED, PROCEED, PROCEED, HALT, HALT]
         assert events[3].reason == "breach"
         assert events[3].mode == OVERRIDE
+        assert events[4].reason == "override"
+        assert events[4].breach_fraction == 0.0
         lines = [json.loads(l) for l in log.read_text().splitlines()]
         assert [l["decision"] for l in lines] == [e.decision for e in events]
 
@@ -275,6 +280,7 @@ class TestGuardRun:
         events = guard_run(flaky, frames, region, LatencyBudget(), log_path=log)
         assert [e.decision for e in events] == [PROCEED, PROCEED, HALT, HALT, HALT]
         assert events[2].reason == "error:NonFiniteError"
+        assert [e.reason for e in events[3:]] == ["override", "override"]
         assert all(e.mode == OVERRIDE for e in events[2:])
         lines = [json.loads(l) for l in log.read_text().splitlines()]
         assert [l["frame"] for l in lines] == [0, 1, 2, 3, 4]

@@ -73,6 +73,27 @@ class TestNetpbm:
             read_netpbm(path)
 
 
+netpbm_bytes = st.one_of(
+    st.binary(max_size=64),
+    st.builds(lambda magic, tokens, payload: magic + b" ".join(tokens) + b"\n" + payload,
+              st.sampled_from([b"P5\n", b"P6\n", b"P5 # c\n", b"P3\n"]),
+              st.lists(st.integers(-2, 300).map(lambda v: str(v).encode())
+                       | st.binary(max_size=3), max_size=4),
+              st.binary(max_size=64)))
+
+
+@given(raw=netpbm_bytes)
+@settings(max_examples=200, deadline=None)
+def test_netpbm_fuzz_only_netpbm_error(tmp_path_factory, raw):
+    path = tmp_path_factory.mktemp("fuzz") / "f.pnm"
+    path.write_bytes(raw)
+    try:
+        img = read_netpbm(path)
+    except NetpbmError:
+        return
+    assert img.pixels.dtype == np.uint8 and img.channels in (1, 3)
+
+
 class TestCombineLabels:
     def test_disjoint_union_counts(self):
         left = np.zeros((6, 6), dtype=np.uint8)

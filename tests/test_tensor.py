@@ -67,6 +67,18 @@ class TestConvTranspose2d:
         with pytest.raises(ShapeError, match="not positive"):
             T.conv_transpose2d(x, k, t(np.zeros(1)), stride=1, padding=3)
 
+    def test_negative_padding(self):
+        x = t(np.zeros((1, 1, 3, 3)))
+        k = t(np.zeros((1, 1, 3, 3)))
+        with pytest.raises(ShapeError, match="negative padding -1"):
+            T.conv_transpose2d(x, k, t(np.zeros(1)), stride=1, padding=-1)
+
+    def test_non_square_kernel(self):
+        x = t(np.zeros((1, 1, 3, 3)))
+        k = t(np.zeros((1, 1, 3, 2)))
+        with pytest.raises(ShapeError, match="non-square kernel 3x2"):
+            T.conv_transpose2d(x, k, t(np.zeros(1)))
+
     def test_gradient_matches_finite_differences(self):
         # conv2d -> conv_transpose2d chain checked end to end.
         rng = np.random.default_rng(0)
@@ -200,7 +212,8 @@ class TestBackward:
 class TestInvariants:
     def test_conv_shape_roundtrip_randomized(self):
         # conv2d then conv_transpose2d with mirrored hyperparameters
-        # restores spatial dimensions exactly.
+        # restores spatial dimensions exactly, and with the same kernel the
+        # two are adjoint: <conv2d(x), y> == <x, conv_transpose2d(y)>.
         rng = np.random.default_rng(6)
         for _ in range(20):
             c_in = int(rng.integers(1, 4))
@@ -214,9 +227,11 @@ class TestInvariants:
             x = t(rng.standard_normal((1, c_in, h, h)))
             kern = t(rng.standard_normal((c_out, c_in, k, k)))
             mid = T.conv2d(x, kern, t(np.zeros(c_out)), stride=s, padding=p)
-            kern_t = t(rng.standard_normal((c_out, c_in, k, k)))
-            back = T.conv_transpose2d(mid, kern_t, t(np.zeros(c_in)), stride=s, padding=p)
+            y = rng.standard_normal(mid.shape)
+            back = T.conv_transpose2d(t(y), kern, t(np.zeros(c_in)), stride=s, padding=p)
             assert back.shape[2:] == x.shape[2:], (h, k, s, p)
+            assert np.isclose((mid.data * y).sum(), (x.data * back.data).sum(),
+                              rtol=1e-12, atol=1e-12), (h, k, s, p)
 
     def test_nonfinite_raises(self):
         x = t([1e308])
