@@ -56,10 +56,15 @@ def load_tensors(path: str | Path) -> dict[str, np.ndarray]:
             name = take(name_len).decode("utf-8")
         except UnicodeDecodeError as exc:
             raise CheckpointError(f"{path}: tensor name is not UTF-8 ({exc})") from exc
+        if name in tensors:
+            raise CheckpointError(f"{path}: tensor name {name!r} appears twice")
         (rank,) = struct.unpack("<I", take(4))
         dims = struct.unpack(f"<{rank}I", take(4 * rank))
         payload = take(4 * math.prod(dims))  # exact: np.prod wraps at 2**63
-        tensors[name] = np.frombuffer(payload, dtype="<f4").reshape(dims).copy()
+        try:
+            tensors[name] = np.frombuffer(payload, dtype="<f4").reshape(dims).copy()
+        except ValueError as exc:  # an empty shape whose other dims overflow
+            raise CheckpointError(f"{path}: unusable dims {dims} ({exc})") from exc
     if pos != len(raw):
         raise CheckpointError(f"{path}: {len(raw) - pos} trailing bytes after last tensor")
     return tensors

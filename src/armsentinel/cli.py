@@ -105,15 +105,15 @@ def _section(config: dict, name: str, cls, **overrides):
 
 
 def _region(config: dict, shape: tuple[int, int]) -> SafeRegion:
-    body = config.get("region", {})
+    body = dict(config.get("region", {}))
     h, w = shape
+    x0, y0, x1, y1 = body.pop("permitted_rect", (0, 0, w, h))
+    if not (0 <= x0 < x1 <= w and 0 <= y0 < y1 <= h):
+        raise ConfigError(f"region.permitted_rect {[x0, y0, x1, y1]} must satisfy "
+                          f"0 <= x0 < x1 <= {w} and 0 <= y0 < y1 <= {h}")
     mask = np.zeros((h, w), dtype=np.uint8)
-    x0, y0, x1, y1 = body.get("permitted_rect", [0, 0, w, h])
     mask[y0:y1, x0:x1] = 255
-    return SafeRegion(
-        mask=ImageBuffer(mask),
-        breach_fraction_threshold=body.get("breach_fraction_threshold", 0.01),
-        consecutive_frames_to_override=body.get("consecutive_frames_to_override", 2))
+    return SafeRegion(mask=ImageBuffer(mask), **body)
 
 
 def _gen_cfg(config: dict) -> UNetConfig:

@@ -70,8 +70,6 @@ class ImageBuffer:
 class PairedSample:
     condition: ImageBuffer
     label: ImageBuffer
-    source_id: str = ""
-    frame_index: int = 0
 
     def __post_init__(self):
         if (self.condition.width, self.condition.height) != (self.label.width, self.label.height):
@@ -100,6 +98,14 @@ def _read_header_token(raw: bytes, pos: int) -> tuple[bytes, int]:
     return raw[start:pos], pos
 
 
+def _header_int(tok: bytes) -> int:
+    # ASCII digits only: int() alone also takes "+1" and "1_0".  A minus sign
+    # still parses, so a negative size is reported as non-positive.
+    if not re.fullmatch(rb"-?[0-9]+", tok):
+        raise NetpbmError(f"header token {tok!r} is not a decimal number")
+    return int(tok)
+
+
 def read_netpbm(path: str | Path) -> ImageBuffer:
     raw = Path(path).read_bytes()
     magic = raw[:2]
@@ -111,7 +117,7 @@ def read_netpbm(path: str | Path) -> ImageBuffer:
         w_tok, pos = _read_header_token(raw, pos)
         h_tok, pos = _read_header_token(raw, pos)
         m_tok, pos = _read_header_token(raw, pos)
-        width, height, maxval = int(w_tok), int(h_tok), int(m_tok)
+        width, height, maxval = (_header_int(t) for t in (w_tok, h_tok, m_tok))
     except (ValueError, NetpbmError) as exc:
         raise NetpbmError(f"{path}: malformed header ({exc})") from exc
     if width < 1 or height < 1:
@@ -307,12 +313,14 @@ def generate_scene(cfg: SceneConfig, frame_index: int) -> PairedSample:
     condition = ImageBuffer(np.clip(np.rint(frame), 0, 255).astype(np.uint8))
     label = ImageBuffer(np.where(union, 255, 0).astype(np.uint8))
     assert np.array_equal(label.gray() >= 128, union)  # label is the draw log
-    return PairedSample(condition, label,
-                        source_id=f"synthetic-seed{cfg.seed}", frame_index=frame_index)
+    return PairedSample(condition, label)
 
 
 # ---------------------------------------------------------------------------
 # manifests
+
+
+_ENTRY_KEYS = {"paired-files": ("condition", "label"), "stitched": ("pair",)}
 
 
 @dataclass
@@ -330,8 +338,10 @@ class DatasetManifest:
     def validate_files(self):
         if not self.entries:
             raise ValueError(f"manifest {self.root}: zero entries")
-        for e in self.entries:
-            for key in ("condition", "label") if self.format == "paired-files" else ("pair",):
+        for i, e in enumerate(self.entries):
+            for key in _ENTRY_KEYS[self.format]:
+                if not isinstance(e.get(key), str):
+                    raise ValueError(f"manifest {self.root}: entry {i} lacks a '{key}' file name")
                 p = self.root / e[key]
                 if not p.exists():
                     raise FileNotFoundError(f"manifest {self.root}: missing file {p}")
@@ -362,7 +372,7 @@ def synth_dataset(cfg: SceneConfig, count: int, out_dir: str | Path,
     """Generate `count` scenes to disk plus a manifest.json."""
     if count < 1:
         raise ValueError(f"synth_dataset: count must be >= 1, got {count}")
-    if fmt not in ("paired-files", "stitched"):
+    if fmt not in _ENTRY_KEYS:
         raise ValueError(f"synth_dataset: unknown format {fmt!r}")
     cfg.validate()
     root = Path(out_dir)
@@ -415,7 +425,15 @@ def build_manifest(directory: str | Path, pattern: str = "frame_*.p?m",
 def load_manifest(path: str | Path) -> DatasetManifest:
     path = Path(path)
     doc = json.loads(path.read_text())
-    manifest = DatasetManifest(root=path.parent, format=doc["format"],
+    if not isinstance(doc, dict):
+        raise ValueError(f"manifest {path}: top level must be an object")
+    fmt = doc.get("format")
+    if not isinstance(fmt, str) or fmt not in _ENTRY_KEYS:
+        raise ValueError(f"manifest {path}: unknown format {fmt!r}")
+    if not (isinstance(doc.get("entries"), list)
+            and all(isinstance(e, dict) for e in doc["entries"])):
+        raise ValueError(f"manifest {path}: 'entries' must be a list of objects")
+    manifest = DatasetManifest(root=path.parent, format=fmt,
                                entries=doc["entries"], seed=doc.get("seed"),
                                scene_config=doc.get("scene_config"))
     manifest.validate_files()

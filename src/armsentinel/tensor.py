@@ -51,7 +51,7 @@ class Tensor:
     __slots__ = ("data", "grad", "requires_grad", "op_tag", "parents", "_backward")
 
     def __init__(self, data, requires_grad: bool = False, op_tag: str = "leaf",
-                 parents: tuple = ()):
+                 parents: tuple = (), backward=None):
         arr = np.asarray(data)
         if arr.dtype not in (np.float32, np.float64):
             arr = arr.astype(np.float64)
@@ -62,7 +62,7 @@ class Tensor:
         self.requires_grad = requires_grad
         self.op_tag = op_tag
         self.parents = parents
-        self._backward = None
+        self._backward = backward
 
     # -- basics ---------------------------------------------------------
 
@@ -95,16 +95,14 @@ class Tensor:
             raise ShapeError(f"{tag}: shapes {self.shape} vs {other_t.shape}")
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             out_data = _check_finite(fwd(self.data, odata), tag)
-        parents = (self,) + ((other_t,) if other_t is not None else ())
-        out = Tensor(out_data, requires_grad=True, op_tag=tag, parents=parents)
 
         def backward(go):
             self.grad += bwd_self(go, self.data, odata)
             if other_t is not None:
                 other_t.grad += bwd_other(go, self.data, odata)
 
-        out._backward = backward
-        return out
+        parents = (self,) + ((other_t,) if other_t is not None else ())
+        return Tensor(out_data, True, tag, parents, backward)
 
     def __add__(self, other):
         return self._binary(other, lambda a, b: a + b,
@@ -127,16 +125,16 @@ class Tensor:
     __rmul__ = __mul__
 
     def __neg__(self):
-        return self._binary(-1.0, lambda a, b: a * b,
-                            lambda g, a, b: -g, None, "neg")
+        return _unary(self, lambda a: -a, lambda g, a, o: -g, "neg")
 
     # -- backward pass --------------------------------------------------
 
     def backward(self):
         """Reverse-mode sweep from a scalar loss.
 
-        Gradients accumulate into `.grad` of every reachable node with
-        `requires_grad`; call `zero_grad` on parameters between steps.
+        Gradients accumulate into `.grad` of every node reachable through
+        `parents`, leaves included; `requires_grad` is never read.  Call
+        `zero_grad` on parameters between steps.
         """
         if self.data.size != 1:
             raise ShapeError(f"backward requires a scalar loss, got shape {self.shape}")
@@ -154,7 +152,7 @@ class Tensor:
             visited.add(id(node))
             stack.append((node, True))
             for p in node.parents:
-                if p is not None and id(p) not in visited:
+                if id(p) not in visited:
                     stack.append((p, False))
 
         self.grad = np.ones_like(self.data)
@@ -229,16 +227,13 @@ def conv2d(x: Tensor, kernel: Tensor, bias: Tensor, stride: int = 1,
     out_data, patches = _gather(x.data, kernel.data, stride, padding, ho, wo)
     out_data += bias.data[None, :, None, None]
     _check_finite(out_data, "conv2d")
-    out = Tensor(out_data, requires_grad=True, op_tag="conv2d",
-                 parents=(x, kernel, bias))
 
     def backward(go):
         bias.grad += go.sum(axis=(0, 2, 3))
         kernel.grad += np.tensordot(go, patches, axes=([0, 2, 3], [0, 4, 5]))
         x.grad += _scatter(go, kernel.data, stride, padding, h, w)
 
-    out._backward = backward
-    return out
+    return Tensor(out_data, True, "conv2d", (x, kernel, bias), backward)
 
 
 def conv_transpose2d(x: Tensor, kernel: Tensor, bias: Tensor, stride: int = 1,
@@ -256,8 +251,6 @@ def conv_transpose2d(x: Tensor, kernel: Tensor, bias: Tensor, stride: int = 1,
     out_data = np.ascontiguousarray(_scatter(x.data, kernel.data, stride, padding, ho, wo))
     out_data += bias.data[None, :, None, None]
     _check_finite(out_data, "conv_transpose2d")
-    out = Tensor(out_data, requires_grad=True, op_tag="conv_transpose2d",
-                 parents=(x, kernel, bias))
 
     def backward(go):
         bias.grad += go.sum(axis=(0, 2, 3))
@@ -265,8 +258,7 @@ def conv_transpose2d(x: Tensor, kernel: Tensor, bias: Tensor, stride: int = 1,
         x.grad += dx
         kernel.grad += np.tensordot(x.data, patches, axes=([0, 2, 3], [0, 4, 5]))
 
-    out._backward = backward
-    return out
+    return Tensor(out_data, True, "conv_transpose2d", (x, kernel, bias), backward)
 
 
 # ---------------------------------------------------------------------------
@@ -276,13 +268,11 @@ def conv_transpose2d(x: Tensor, kernel: Tensor, bias: Tensor, stride: int = 1,
 def _unary(x: Tensor, fwd, bwd, tag: str) -> Tensor:
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         out_data = _check_finite(fwd(x.data), tag)
-    out = Tensor(out_data, requires_grad=True, op_tag=tag, parents=(x,))
 
     def backward(go):
         x.grad += bwd(go, x.data, out_data)
 
-    out._backward = backward
-    return out
+    return Tensor(out_data, True, tag, (x,), backward)
 
 
 def relu(x: Tensor) -> Tensor:
@@ -324,11 +314,11 @@ def abs_(x: Tensor) -> Tensor:
 
 
 def dropout(x: Tensor, rate: float, rng_seed: int, active: bool) -> Tensor:
-    """Inverted dropout; the inactive path is an exact identity."""
+    """Inverted dropout; the inactive path returns `x` itself."""
     if not 0.0 <= rate < 1.0:
         raise ValueError(f"dropout: rate must be in [0, 1), got {rate}")
     if not active or rate == 0.0:
-        return _unary(x, lambda a: a, lambda g, a, o: g, "dropout_id")
+        return x
     rng = np.random.default_rng(rng_seed)
     keep = (rng.random(x.shape) >= rate).astype(x.dtype)
     scale = x.dtype.type(1.0 / (1.0 - rate))
@@ -352,8 +342,6 @@ def instance_norm(x: Tensor, gain: Tensor, bias: Tensor,
     xhat = (x.data - mu) * inv
     out_data = xhat * gain.data[None, :, None, None] + bias.data[None, :, None, None]
     _check_finite(out_data, "instance_norm")
-    out = Tensor(out_data, requires_grad=True, op_tag="instance_norm",
-                 parents=(x, gain, bias))
 
     def backward(go):
         bias.grad += go.sum(axis=(0, 2, 3))
@@ -364,8 +352,7 @@ def instance_norm(x: Tensor, gain: Tensor, bias: Tensor,
         s2 = (dxhat * xhat).sum(axis=(2, 3), keepdims=True)
         x.grad += inv / m * (m * dxhat - s1 - xhat * s2)
 
-    out._backward = backward
-    return out
+    return Tensor(out_data, True, "instance_norm", (x, gain, bias), backward)
 
 
 def concat(tensors: list[Tensor], axis: int = 1) -> Tensor:
@@ -377,7 +364,6 @@ def concat(tensors: list[Tensor], axis: int = 1) -> Tensor:
         if trial != ref:
             raise ShapeError(f"concat: incompatible shapes {shapes} along axis {axis}")
     out_data = np.concatenate([t.data for t in tensors], axis=axis)
-    out = Tensor(out_data, requires_grad=True, op_tag="concat", parents=tuple(tensors))
 
     def backward(go):
         off = 0
@@ -388,30 +374,16 @@ def concat(tensors: list[Tensor], axis: int = 1) -> Tensor:
             t.grad += go[tuple(sl)]
             off += width
 
-    out._backward = backward
-    return out
+    return Tensor(out_data, True, "concat", tuple(tensors), backward)
 
 
 def total(x: Tensor) -> Tensor:
     """Sum over all elements to a scalar."""
-    out = Tensor(np.asarray(x.data.sum(), dtype=x.dtype).reshape(()),
-                 requires_grad=True, op_tag="sum", parents=(x,))
-
-    def backward(go):
-        x.grad += go * np.ones_like(x.data)
-
-    out._backward = backward
-    return out
+    return _unary(x, lambda a: np.asarray(a.sum(), dtype=a.dtype).reshape(()),
+                  lambda g, a, o: g * np.ones_like(a), "sum")
 
 
 def mean(x: Tensor) -> Tensor:
     """Mean over all elements to a scalar."""
-    n = x.data.size
-    out = Tensor(np.asarray(x.data.mean(), dtype=x.dtype).reshape(()),
-                 requires_grad=True, op_tag="mean", parents=(x,))
-
-    def backward(go):
-        x.grad += go * np.full_like(x.data, 1.0 / n)
-
-    out._backward = backward
-    return out
+    return _unary(x, lambda a: np.asarray(a.mean(), dtype=a.dtype).reshape(()),
+                  lambda g, a, o: g * np.full_like(a, 1.0 / a.size), "mean")

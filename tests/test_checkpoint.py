@@ -79,11 +79,29 @@ def test_non_utf8_name(tmp_path):
         load_tensors(path)
 
 
+def test_duplicate_name(tmp_path):
+    # Two records named "w": bytes 8-12 of a container hold its tensor count.
+    first, second = (one_tensor(b"w", [1], np.float32(v).tobytes()) for v in (1.0, 2.0))
+    path = tmp_path / "dup.bin"
+    path.write_bytes(MAGIC + struct.pack("<I", 2) + first[12:] + second[12:])
+    with pytest.raises(CheckpointError, match="twice"):
+        load_tensors(path)
+
+
 def test_dims_product_past_int64(tmp_path):
     # 65536**4 == 2**64, which a fixed-width product wraps to 0 bytes.
     path = tmp_path / "dims.bin"
     path.write_bytes(one_tensor(b"w", [65536] * 4))
     with pytest.raises(CheckpointError, match="truncated"):
+        load_tensors(path)
+
+
+def test_empty_dims_past_array_limit(tmp_path):
+    # A zero dim makes the payload empty, but the other dims pass what NumPy
+    # can index, so the reshape itself fails.
+    path = tmp_path / "empty.bin"
+    path.write_bytes(one_tensor(b"w", [0, 3, 473839073, 1622099950]))
+    with pytest.raises(CheckpointError, match="unusable dims"):
         load_tensors(path)
 
 

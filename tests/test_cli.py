@@ -100,6 +100,20 @@ class TestDataErrors:
         cfg.write_text(json.dumps(doc))
         assert load_config(str(cfg)) == doc
 
+    @pytest.mark.parametrize("rect", [[-16, 0, 16, 16], [0, 0, 100, 16], [4, 0, 4, 16]],
+                             ids=["negative-x0", "x1-past-width", "empty"])
+    def test_permitted_rect_outside_frame(self, tmp_path, capsys, small_run, rect):
+        cfg = small_config(tmp_path)
+        doc = json.loads((tmp_path / "config.json").read_text())
+        doc["region"] = {"permitted_rect": rect}
+        (tmp_path / "config.json").write_text(json.dumps(doc))
+        code = main(["guard", "--ckpt", str(small_run["final_ckpt"]),
+                     "--manifest", str(small_run["manifest_path"]),
+                     "--out", str(tmp_path / "events.jsonl"), "--config", cfg])
+        assert code == 2
+        assert "permitted_rect" in capsys.readouterr().err
+        assert not (tmp_path / "events.jsonl").exists()
+
     def test_corrupt_checkpoint(self, tmp_path, small_run):
         bad = tmp_path / "bad.bin"
         bad.write_bytes(b"garbage")

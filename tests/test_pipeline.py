@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -70,6 +72,15 @@ class TestNetpbm:
         path = tmp_path / "d.pnm"
         path.write_bytes(header + b"\x00" * 9)
         with pytest.raises(NetpbmError, match="non-positive"):
+            read_netpbm(path)
+
+    @pytest.mark.parametrize("header", [b"P5 1_0 1 255\n", b"P5 10 +1 255\n",
+                                        b"P5 10 1 2_55\n"],
+                             ids=["underscore-width", "plus-height", "underscore-maxval"])
+    def test_non_decimal_header_token(self, tmp_path, header):
+        path = tmp_path / "h.pgm"
+        path.write_bytes(header + bytes(10))
+        with pytest.raises(NetpbmError, match="not a decimal"):
             read_netpbm(path)
 
 
@@ -260,6 +271,19 @@ class TestManifests:
         synth_dataset(cfg, 3, tmp_path / "b")
         for name in ("frame_00000.ppm", "label_00002.pgm", "manifest.json"):
             assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+
+    @pytest.mark.parametrize("doc, problem", [
+        ({}, "unknown format None"),
+        ([1], "top level"),
+        ({"format": "zip", "entries": [{"condition": "a", "label": "b"}]}, "unknown format 'zip'"),
+        ({"format": "stitched", "entries": 5}, "'entries' must be a list"),
+        ({"format": "stitched", "entries": [{}]}, "entry 0 lacks a 'pair'"),
+    ], ids=["empty-object", "list", "unknown-format", "entries-not-list", "entry-without-file"])
+    def test_malformed_manifest(self, tmp_path, doc, problem):
+        path = tmp_path / "manifest.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValueError, match=problem):
+            load_manifest(path)
 
     def test_paired_sample_dimension_check(self):
         cond = ImageBuffer(np.zeros((4, 4, 3), dtype=np.uint8))

@@ -122,6 +122,8 @@ class TestElementwise:
         x = t(np.random.default_rng(1).standard_normal((3, 5)))
         out = T.dropout(x, 0.5, rng_seed=42, active=False)
         assert np.array_equal(out.data, x.data)
+        assert out is x
+        assert T.dropout(x, 0.0, rng_seed=42, active=True) is x
 
     def test_dropout_active_scales_survivors(self):
         x = t(np.ones((100, 100)))
@@ -143,6 +145,12 @@ class TestElementwise:
     def test_leaky_relu_slope_domain(self):
         with pytest.raises(ValueError, match="slope"):
             T.leaky_relu(t([1.0]), 1.5)
+
+    def test_total_and_mean_check_finite(self):
+        big = Tensor(np.full(4, 3e38, dtype=np.float32))
+        for op in (T.total, T.mean):
+            with pytest.raises(NonFiniteError, match="sum|mean"):
+                op(big)
 
 
 class TestInstanceNorm:
