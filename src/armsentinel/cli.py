@@ -18,7 +18,7 @@ import numpy as np
 
 from .checkpoint import CheckpointError
 from .evaluate import compare_checkpoints, predict_mask, single_arm_probe
-from .guard import LatencyBudget, SafeRegion, guard_run, make_segmenter, time_inference
+from .guard import LatencyBudget, LatencyReport, SafeRegion, guard_run, make_segmenter
 from .nets import DiscriminatorConfig, UNetConfig
 from .pipeline import (ImageBuffer, NetpbmError, SceneConfig, build_manifest, load_manifest,
                        synth_dataset, write_netpbm)
@@ -185,13 +185,26 @@ def cmd_probe_single_arm(args) -> int:
     return 0
 
 
-def cmd_bench(args) -> int:
+def _guard_setup(args):
+    """The budget, manifest frames, region and segmenter that `bench` and `guard` share."""
     config = load_config(args.config)
     budget = _section(config, "budget", LatencyBudget, budget_ms=args.budget_ms)
-    manifest = load_manifest(args.manifest)
-    report = time_inference(args.ckpt, manifest, _gen_cfg(config), budget,
-                            repetitions=args.repetitions,
-                            injected_delay_ms=args.delay_ms)
+    frames = [cond for cond, _ in load_manifest(args.manifest).load_pairs_unit_interval()]
+    region = _region(config, frames[0].shape[1:])
+    return budget, frames, region, make_segmenter(args.ckpt, _gen_cfg(config))
+
+
+def cmd_bench(args) -> int:
+    if args.repetitions < 1:
+        raise ValueError(f"bench: --repetitions must be >= 1, got {args.repetitions}")
+    budget, frames, region, segmenter = _guard_setup(args)
+    segmenter(frames[0])  # warm-up, excluded from the timings
+    events = guard_run(segmenter, frames * args.repetitions, region, budget,
+                       injected_delay_ms=args.delay_ms)
+    for e in events:  # guard_run fails closed; a failed frame has no timing to report
+        if e.reason.startswith("error:"):
+            raise RuntimeError(f"bench: frame {e.frame % len(frames)} failed ({e.reason})")
+    report = LatencyReport([e.ms for e in events], budget.budget_ms)
     if args.out:
         report.write(args.out)
     print(json.dumps(report.summary(), indent=2))
@@ -203,17 +216,8 @@ def cmd_bench(args) -> int:
 
 
 def cmd_guard(args) -> int:
-    config = load_config(args.config)
-    budget = _section(config, "budget", LatencyBudget, budget_ms=args.budget_ms)
-    manifest = load_manifest(args.manifest)
-    pairs = manifest.load_pairs_unit_interval()
-    if not pairs:
-        raise ValueError("guard: empty manifest")
-    h, w = pairs[0][0].shape[1:]
-    region = _region(config, (h, w))
-    segmenter = make_segmenter(args.ckpt, _gen_cfg(config))
-    events = guard_run(segmenter, (c for c, _ in pairs), region, budget,
-                       log_path=args.out)
+    budget, frames, region, segmenter = _guard_setup(args)
+    events = guard_run(segmenter, frames, region, budget, log_path=args.out)
     halts = sum(1 for e in events if e.decision == "HALT")
     print(f"guard: {len(events)} frames, {halts} HALT events, log at {args.out}")
     return 0

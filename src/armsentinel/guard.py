@@ -23,7 +23,7 @@ import numpy as np
 
 from .evaluate import predict_mask
 from .nets import UNetConfig
-from .pipeline import DatasetManifest, ImageBuffer
+from .pipeline import ImageBuffer
 from .train import load_checkpoint
 
 NOMINAL = "NOMINAL"
@@ -54,7 +54,6 @@ class LatencyBudget:
 class LatencyReport:
     frame_ms: list[float]
     budget_ms: float
-    hardware_note: str = ""
 
     @property
     def violations(self) -> int:
@@ -75,7 +74,6 @@ class LatencyReport:
             "p50_ms": self._nearest_rank(0.50),
             "p95_ms": self._nearest_rank(0.95),
             "max_ms": max(self.frame_ms),
-            "hardware_note": self.hardware_note,
         }
 
     def write(self, out_dir: str | Path) -> None:
@@ -141,47 +139,20 @@ def guard_step(state: GuardState, predicted_mask: ImageBuffer,
     return (GuardState(NOMINAL, 0, fraction, frames), PROCEED)
 
 
-def reset_override(state: GuardState, operator_token: str) -> GuardState:
+def reset_override(state: GuardState) -> GuardState:
     if state.mode != OVERRIDE:
         raise InterlockError(f"reset_override: state is {state.mode}, not {OVERRIDE}")
     return GuardState(NOMINAL, 0, 0.0, state.frames_processed)
 
 
 # ---------------------------------------------------------------------------
-# latency harness
+# guard loop: the one per-frame timer, shared by `guard` and `bench`
 
 
 def make_segmenter(ckpt: str | Path, gen_cfg: UNetConfig) -> Callable[[np.ndarray], ImageBuffer]:
     """Checkpoint-backed frame -> binary mask callable (infer mode)."""
     gen, *_ = load_checkpoint(ckpt, gen_cfg)
     return lambda cond_chw: predict_mask(gen, cond_chw)[1]
-
-
-def time_inference(ckpt: str | Path, manifest: DatasetManifest, gen_cfg: UNetConfig,
-                   budget: LatencyBudget, repetitions: int = 1,
-                   injected_delay_ms: float = 0.0,
-                   hardware_note: str = "") -> LatencyReport:
-    """Wall-clock per-frame inference timings; one warm-up pass excluded.
-
-    `injected_delay_ms` is a test hook adding a synthetic sleep per frame.
-    """
-    if repetitions < 1:
-        raise ValueError("time_inference: repetitions must be >= 1")
-    pairs = manifest.load_pairs_unit_interval()
-    if not pairs:
-        raise ValueError("time_inference: empty manifest")
-    segment = make_segmenter(ckpt, gen_cfg)
-    segment(pairs[0][0])  # warm-up, excluded
-    timings: list[float] = []
-    for _ in range(repetitions):
-        for cond, _label in pairs:
-            t0 = time.perf_counter()
-            if injected_delay_ms > 0:
-                time.sleep(injected_delay_ms / 1000.0)
-            segment(cond)
-            timings.append((time.perf_counter() - t0) * 1000.0)
-    return LatencyReport(frame_ms=timings, budget_ms=budget.budget_ms,
-                         hardware_note=hardware_note)
 
 
 @dataclass
@@ -208,7 +179,8 @@ def guard_run(segmenter: Callable[[np.ndarray], ImageBuffer],
     Under the abort-frame policy a frame that misses its budget is HALT with
     reason "latency" regardless of the interlock outcome (fail closed); a frame
     whose handling raises is HALT with reason "error:<type>" and latches OVERRIDE.
-    Frames after the latch are HALT with reason "override".
+    Frames after the latch are HALT with reason "override". Each event's `ms`
+    times the whole frame, segmenter and interlock, and is what `bench` reports.
     `segmenter` is any frame -> binary-mask callable; tests substitute a
     ground-truth oracle for the trained generator.
     """

@@ -98,9 +98,6 @@ class _ParamStore:
         for t in self.params.values():
             t.zero_grad()
 
-    def parameter_count(self) -> int:
-        return sum(t.data.size for t in self.params.values())
-
 
 class Generator:
     """Encoder-decoder with skip concatenation between mirrored stages."""

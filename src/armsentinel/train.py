@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from . import tensor as T
-from .checkpoint import load_tensors, save_tensors
+from .checkpoint import CheckpointError, load_tensors, save_tensors
 from .nets import Discriminator, DiscriminatorConfig, Generator, UNetConfig
 from .optim import AdamState, adam_step
 from .pipeline import load_manifest
@@ -188,9 +188,17 @@ def load_checkpoint(path: str | Path, gen_cfg: UNetConfig,
                     learning_rate: float = 2e-4, beta1: float = 0.5):
     """Restore (generator, discriminator, opt states, epoch) from a container."""
     stored = load_tensors(path)
+
+    def entry(name: str, scalar: bool = False) -> np.ndarray:
+        if name not in stored:
+            raise CheckpointError(f"{path}: missing entry {name!r}")
+        if scalar and stored[name].size != 1:
+            raise CheckpointError(f"{path}: {name!r} holds {stored[name].size} values, not one")
+        return stored[name]
+
     gen = Generator(gen_cfg, seed=0)
     gen.store.load_state_dict({k[4:]: v for k, v in stored.items() if k.startswith("gen/")})
-    epoch = int(stored["meta/epoch"][0])
+    epoch = int(entry("meta/epoch", scalar=True).flat[0])
     if disc_cfg is None:
         return gen, None, None, None, epoch
     disc = Discriminator(disc_cfg, seed=0)
@@ -198,10 +206,10 @@ def load_checkpoint(path: str | Path, gen_cfg: UNetConfig,
     opts = []
     for tag, net in (("opt_g", gen), ("opt_d", disc)):
         opt = AdamState(learning_rate=learning_rate, beta1=beta1,
-                        step_count=int(stored[f"{tag}/step"][0]))
+                        step_count=int(entry(f"{tag}/step", scalar=True).flat[0]))
         n = len(net.store.tensors())
-        opt.first_moment = [stored[f"{tag}/m{i:03d}"].copy() for i in range(n)]
-        opt.second_moment = [stored[f"{tag}/v{i:03d}"].copy() for i in range(n)]
+        opt.first_moment = [entry(f"{tag}/m{i:03d}").copy() for i in range(n)]
+        opt.second_moment = [entry(f"{tag}/v{i:03d}").copy() for i in range(n)]
         opts.append(opt)
     return gen, disc, opts[0], opts[1], epoch
 

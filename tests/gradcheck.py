@@ -12,8 +12,8 @@ from typing import Callable
 
 import numpy as np
 
-from . import tensor as T
-from .tensor import Tensor
+from armsentinel import tensor as T
+from armsentinel.tensor import Tensor
 
 DEFAULT_STEP = 1e-5
 

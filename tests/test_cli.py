@@ -1,14 +1,17 @@
+import dataclasses
 import json
+import shutil
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from armsentinel.checkpoint import load_tensors, save_tensors
 from armsentinel.cli import ConfigError, load_config, main
 from armsentinel.evaluate import predict_mask
 from armsentinel.guard import make_segmenter
-from armsentinel.pipeline import load_manifest, write_netpbm
+from armsentinel.pipeline import load_manifest, synth_dataset, write_netpbm
 from armsentinel.train import load_checkpoint
 from tests.conftest import SMALL_GEN_CFG, SMALL_SCENE
 
@@ -121,6 +124,71 @@ class TestDataErrors:
                      "--manifest", str(small_run["manifest_path"]),
                      "--out", str(tmp_path / "out")])
         assert code == 2
+
+    @pytest.mark.parametrize("command", ["infer", "guard", "bench"])
+    @pytest.mark.parametrize("edit", ["drop", "two-values"])
+    def test_checkpoint_bad_epoch_entry(self, tmp_path, capsys, small_run, command, edit):
+        tensors = load_tensors(small_run["final_ckpt"])
+        if edit == "drop":
+            del tensors["meta/epoch"]
+        else:
+            tensors["meta/epoch"] = np.array([4.0, 4.0], dtype=np.float32)
+        bad = tmp_path / "bad.bin"
+        save_tensors(bad, tensors)
+        code = main([command, "--ckpt", str(bad),
+                     "--manifest", str(small_run["manifest_path"]),
+                     "--out", str(tmp_path / "out"), "--config", small_config(tmp_path)])
+        assert code == 2
+        assert "meta/epoch" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("entry", ["opt_g/step", "opt_d/v003"])
+    def test_resume_missing_optimizer_entry(self, tmp_path, capsys, small_run, entry):
+        tensors = load_tensors(small_run["final_ckpt"])
+        del tensors[entry]
+        bad = tmp_path / "bad.bin"
+        save_tensors(bad, tensors)
+        code = main(["train", "--manifest", str(small_run["manifest_path"]),
+                     "--out", str(tmp_path / "run"), "--epochs", "5", "--resume", str(bad),
+                     "--quiet", "--config", small_config(tmp_path)])
+        assert code == 2
+        assert entry in capsys.readouterr().err
+
+
+class TestBench:
+    LATENCY_KEYS = {"frames", "budget_ms", "violations", "min_ms", "mean_ms",
+                    "p50_ms", "p95_ms", "max_ms"}
+
+    def test_injected_delay_counts(self, tmp_path, small_run):
+        code = main(["bench", "--ckpt", str(small_run["final_ckpt"]),
+                     "--manifest", str(small_run["manifest_path"]), "--delay-ms", "301",
+                     "--out", str(tmp_path), "--config", small_config(tmp_path)])
+        assert code == 0
+        summary = json.loads((tmp_path / "latency.json").read_text())
+        assert set(summary) == self.LATENCY_KEYS
+        assert summary["frames"] == summary["violations"] == 12
+        assert summary["min_ms"] > 301.0
+
+    def test_bad_repetitions(self, tmp_path, capsys, small_run):
+        code = main(["bench", "--ckpt", str(small_run["final_ckpt"]),
+                     "--manifest", str(small_run["manifest_path"]), "--repetitions", "0",
+                     "--config", small_config(tmp_path)])
+        assert code == 2
+        assert "repetitions" in capsys.readouterr().err
+
+    def test_mixed_frame_sizes_fail(self, tmp_path, capsys, small_run):
+        data, big = tmp_path / "data", tmp_path / "big"
+        synth_dataset(SMALL_SCENE, 3, data)
+        synth_dataset(dataclasses.replace(SMALL_SCENE, width=32, height=32), 1, big,
+                      start_index=1)
+        for name in ("frame_00001.ppm", "label_00001.pgm"):
+            shutil.copy(big / name, data / name)
+        code = main(["bench", "--ckpt", str(small_run["final_ckpt"]),
+                     "--manifest", str(data / "manifest.json"), "--out", str(tmp_path / "b"),
+                     "--config", small_config(tmp_path)])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert "frame 1" in err and "error:ValueError" in err
+        assert not (tmp_path / "b").exists()
 
 
 json_values = st.recursive(

@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from armsentinel import gradcheck as gc
 from armsentinel import tensor as T
 from armsentinel.tensor import Tensor
+from tests import gradcheck as gc
 
 
 @pytest.mark.parametrize("primitive", gc.registered_primitives())

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from armsentinel.guard import (BREACH, HALT, NOMINAL, OVERRIDE, PROCEED,
                                GuardState, InterlockError, LatencyBudget,
                                LatencyReport, SafeRegion, guard_run, guard_step,
-                               make_segmenter, reset_override, time_inference)
+                               make_segmenter, reset_override)
 from armsentinel.pipeline import ImageBuffer, load_manifest
 from armsentinel.tensor import NonFiniteError
 from tests.conftest import SMALL_GEN_CFG
@@ -100,7 +100,7 @@ class TestResetOverride:
         state = GuardState()
         for _ in range(2):
             state, _ = guard_step(state, mask_of(0.05, region), region)
-        state = reset_override(state, "operator-7")
+        state = reset_override(state)
         assert state.mode == NOMINAL
         assert state.consecutive_breach_count == 0
         assert state.frames_processed == 2
@@ -111,7 +111,7 @@ class TestResetOverride:
 
     def test_reset_outside_override_rejected(self, region):
         with pytest.raises(InterlockError, match="NOMINAL"):
-            reset_override(GuardState(), "operator-7")
+            reset_override(GuardState())
 
 
 class TestGuardProperties:
@@ -197,25 +197,6 @@ class TestLatencyReport:
             LatencyBudget(budget_ms=float("nan"))
         with pytest.raises(ValueError, match="policy"):
             LatencyBudget(policy="panic")
-
-
-class TestTimeInference:
-    def test_counts_and_injected_delay(self, small_run):
-        manifest = load_manifest(small_run["manifest_path"])
-        budget = LatencyBudget(budget_ms=300.0)
-        report = time_inference(small_run["final_ckpt"], manifest, SMALL_GEN_CFG,
-                                budget, injected_delay_ms=0.0)
-        assert len(report.frame_ms) == 12
-        assert all(t > 0 for t in report.frame_ms)
-        slow = time_inference(small_run["final_ckpt"], manifest, SMALL_GEN_CFG,
-                              budget, injected_delay_ms=301.0)
-        assert slow.violations == 12
-
-    def test_bad_repetitions(self, small_run):
-        manifest = load_manifest(small_run["manifest_path"])
-        with pytest.raises(ValueError, match="repetitions"):
-            time_inference(small_run["final_ckpt"], manifest, SMALL_GEN_CFG,
-                           LatencyBudget(), repetitions=0)
 
 
 def truth_segmenter(frame):
