@@ -141,6 +141,9 @@ def cmd_train(args) -> int:
     cfg = _section(config, "train", TrainConfig, manifest_path=args.manifest,
                    output_dir=args.out, seed=args.seed, epochs=args.epochs)
     gen_cfg = _gen_cfg(config)
+    if "in_channels" in config.get("discriminator", {}):
+        raise ConfigError("config: 'discriminator.in_channels' cannot be set; it comes from "
+                          "the generator's in_channels + out_channels")
     disc_cfg = _section(config, "discriminator", DiscriminatorConfig,
                         in_channels=gen_cfg.in_channels + gen_cfg.out_channels)
     ckpts, records = train(cfg, gen_cfg, disc_cfg, resume_from=args.resume,
@@ -244,7 +247,8 @@ def build_parser() -> _Parser:
 
     p = add("prepare", cmd_prepare, "scan a frame directory into a manifest")
     p.add_argument("--dir", required=True)
-    p.add_argument("--pattern", default="frame_*.p?m")
+    p.add_argument("--pattern", default=None,
+                   help="file glob (default: frame_*.p?m, or pair_*.p?m when stitched)")
     p.add_argument("--format", choices=["paired-files", "stitched"],
                    default="paired-files")
 

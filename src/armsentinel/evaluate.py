@@ -21,19 +21,6 @@ REPORT_HEADER = ["frame", "nonzero_a", "nonzero_b", "mae_a", "mae_b", "iou_b", "
 
 
 @dataclass
-class DiffImage:
-    """Absolute per-pixel difference of two same-sized images."""
-
-    values: np.ndarray  # (H, W) uint8
-
-
-@dataclass
-class ErrorHistogram:
-    bins: np.ndarray  # 256 counts
-    total_pixels: int
-
-
-@dataclass
 class FrameRow:
     frame: int
     nonzero_a: int
@@ -79,28 +66,27 @@ class ComparativeReport:
         }
 
 
-def subtract(a: ImageBuffer, b: ImageBuffer) -> DiffImage:
-    """|a - b| per pixel; multi-channel inputs collapse to gray first."""
+def subtract(a: ImageBuffer, b: ImageBuffer) -> ImageBuffer:
+    """|a - b| per pixel, one channel; multi-channel inputs collapse to gray first."""
     if (a.width, a.height) != (b.width, b.height):
         raise ValueError(f"subtract: dimensions {a.width}x{a.height} vs {b.width}x{b.height}")
     ga = a.gray().astype(np.int16)
     gb = b.gray().astype(np.int16)
-    return DiffImage(np.abs(ga - gb).astype(np.uint8))
+    return ImageBuffer(np.abs(ga - gb).astype(np.uint8))
 
 
-def nonzero_count(d: DiffImage) -> int:
-    return int(np.count_nonzero(d.values))
+def nonzero_count(d: ImageBuffer) -> int:
+    return int(np.count_nonzero(d.pixels))
 
 
-def histogram(d: DiffImage) -> ErrorHistogram:
-    bins = np.bincount(d.values.reshape(-1), minlength=256).astype(np.int64)
-    return ErrorHistogram(bins=bins, total_pixels=int(d.values.size))
+def histogram(d: ImageBuffer) -> np.ndarray:
+    """256 int64 counts of the pixel values of a one-channel image."""
+    return np.bincount(d.pixels.reshape(-1), minlength=256).astype(np.int64)
 
 
-def binarize(img: ImageBuffer, threshold: int = 128) -> ImageBuffer:
-    if not 0 <= threshold <= 255:
-        raise ValueError(f"binarize: threshold {threshold} outside [0, 255]")
-    return ImageBuffer(np.where(img.gray() >= threshold, 255, 0).astype(np.uint8))
+def binarize(img: ImageBuffer) -> ImageBuffer:
+    """255 where `img.mask()` is on, else 0."""
+    return ImageBuffer(np.where(img.mask(), 255, 0).astype(np.uint8))
 
 
 def overlap_metrics(pred_mask: ImageBuffer, truth_mask: ImageBuffer) -> dict[str, float]:
@@ -126,11 +112,11 @@ def predict_mask(gen: Generator, cond_chw: np.ndarray) -> tuple[ImageBuffer, Ima
     """The one inference path: a (C,H,W) unit-interval frame -> (raw, binarized) masks."""
     out = gen.forward(Tensor(cond_chw[None].astype(np.float32)), mode="infer")
     raw = ImageBuffer(np.clip(np.rint(out.data[0, 0] * 255.0), 0, 255).astype(np.uint8))
-    return raw, binarize(raw, 128)
+    return raw, binarize(raw)
 
 
 def _score(gen: Generator, cond_chw: np.ndarray, truth: ImageBuffer,
-           truth_bin: ImageBuffer) -> tuple[ImageBuffer, DiffImage, float]:
+           truth_bin: ImageBuffer) -> tuple[ImageBuffer, ImageBuffer, float]:
     """Predict one frame: (binary mask, its diff to `truth_bin`, raw-vs-`truth` MAE)."""
     raw, binary = predict_mask(gen, cond_chw)
     mae = float(np.abs(raw.gray().astype(np.float64) - truth.gray().astype(np.float64)).mean())
@@ -170,17 +156,17 @@ def compare_checkpoints(ckpt_a: str | Path, ckpt_b: str | Path,
     gen_b, *_ = load_checkpoint(ckpt_b, gen_cfg)
 
     report = ComparativeReport()
-    diff_images: list[tuple[int, DiffImage, DiffImage]] = []
+    diff_images: list[tuple[int, ImageBuffer, ImageBuffer]] = []
     for frame, (cond, label) in enumerate(pairs):
         truth = ImageBuffer(np.rint(label[0] * 255.0).astype(np.uint8))
-        truth_bin = binarize(truth, 128)
+        truth_bin = binarize(truth)
         _, diff_a, mae_a = _score(gen_a, cond, truth, truth_bin)
         bin_b, diff_b, mae_b = _score(gen_b, cond, truth, truth_bin)
         ov = overlap_metrics(bin_b, truth_bin)
         report.rows.append(FrameRow(frame, nonzero_count(diff_a), nonzero_count(diff_b),
                                     mae_a, mae_b, ov["iou"], ov["dice"]))
-        report.histogram_a += histogram(diff_a).bins
-        report.histogram_b += histogram(diff_b).bins
+        report.histogram_a += histogram(diff_a)
+        report.histogram_b += histogram(diff_b)
         if frame < sample_diffs:
             diff_images.append((frame, diff_a, diff_b))
 
@@ -188,8 +174,8 @@ def compare_checkpoints(ckpt_a: str | Path, ckpt_b: str | Path,
         out_dir = Path(out_dir)
         _write_report(report, out_dir)
         for frame, da, db in diff_images:
-            write_netpbm(ImageBuffer(da.values), out_dir / f"diff_a_{frame:05d}.pgm")
-            write_netpbm(ImageBuffer(db.values), out_dir / f"diff_b_{frame:05d}.pgm")
+            write_netpbm(da, out_dir / f"diff_a_{frame:05d}.pgm")
+            write_netpbm(db, out_dir / f"diff_b_{frame:05d}.pgm")
     return report
 
 
@@ -210,12 +196,12 @@ def single_arm_probe(ckpt: str | Path, scene_cfg: SceneConfig, count: int,
     for frame in range(count):
         sample = generate_scene(scene_cfg, frame)
         cond = sample.condition.unit_chw()
-        truth_bin = binarize(sample.label, 128)
+        truth_bin = binarize(sample.label)
         pred_bin, diff, mae = _score(gen, cond, sample.label, truth_bin)
         ov = overlap_metrics(pred_bin, truth_bin)
         report.rows.append(FrameRow(frame, nonzero_count(diff), nonzero_count(diff),
                                     mae, mae, ov["iou"], ov["dice"]))
-        bins = histogram(diff).bins
+        bins = histogram(diff)
         report.histogram_a += bins
         report.histogram_b += bins
     if out_dir is not None:

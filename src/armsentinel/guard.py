@@ -101,7 +101,7 @@ class SafeRegion:
 
     @property
     def permitted(self) -> np.ndarray:
-        return self.mask.gray() >= 128
+        return self.mask.mask()
 
 
 @dataclass(frozen=True)
@@ -119,7 +119,7 @@ def guard_step(state: GuardState, predicted_mask: ImageBuffer,
     An empty mask counts as no breach (a vanished arm is a model failure,
     flagged upstream, but halting on it would latch the untrained model).
     """
-    mask = predicted_mask.gray() >= 128
+    mask = predicted_mask.mask()
     permitted = region.permitted
     if mask.shape != permitted.shape:
         raise ValueError(f"guard_step: mask {mask.shape} vs region {permitted.shape}")

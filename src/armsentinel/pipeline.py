@@ -61,6 +61,10 @@ class ImageBuffer:
             return self.pixels[:, :, 0]
         return np.rint(self.pixels.mean(axis=2)).astype(np.uint8)
 
+    def mask(self) -> np.ndarray:
+        """(H, W) bool: the one on/off rule, gray level 128 and up is on."""
+        return self.gray() >= 128
+
     def unit_chw(self) -> np.ndarray:
         """(C, H, W) float32 in [0, 1]."""
         return (self.pixels.astype(np.float32) / 255.0).transpose(2, 0, 1)
@@ -156,8 +160,8 @@ def combine_labels(left: ImageBuffer, right: ImageBuffer,
                          f"vs {right.width}x{right.height}")
     if mode not in ("union", "identity_coded"):
         raise ValueError(f"combine_labels: unknown mode {mode!r}")
-    lmask = left.gray() >= 128
-    rmask = right.gray() >= 128
+    lmask = left.mask()
+    rmask = right.mask()
     if mode == "union":
         out = np.where(lmask | rmask, 255, 0)
     else:
@@ -219,58 +223,33 @@ def _segment_distance(xx, yy, a, b):
     return np.hypot(xx - (ax + t * dx), yy - (ay + t * dy))
 
 
-@dataclass
-class _ArmGeometry:
-    anchor: tuple[float, float]
-    base_angle: float
-    seg1: float
-    seg2: float
-    half_width: float
-    freq1: float
-    freq2: float
-    phase1: float
-    phase2: float
-    sweep1: float
-    sweep2: float
+def rasterize_arm_masks(cfg: SceneConfig, frame_index: int) -> list[np.ndarray]:
+    """Per-arm boolean masks; the union is the ground-truth label.
 
-
-def _arm_geometries(cfg: SceneConfig) -> list[_ArmGeometry]:
+    Arm 0 draws its geometry first, so a one-arm scene has the same arm 0 as
+    the two-arm scene of the same seed.
+    """
+    cfg.validate()
     rng = np.random.default_rng((cfg.seed, 0xA12))
     min_dim = min(cfg.width, cfg.height)
-    arms = []
-    for a in range(2):  # draw both so arm geometry is stable across arm_count
-        seg = rng.uniform(*cfg.segment_length_range, size=2) * min_dim
-        width = rng.uniform(*cfg.arm_width_range) * min_dim
+    yy, xx = np.mgrid[0:cfg.height, 0:cfg.width].astype(np.float64)
+    t = float(frame_index)
+    masks = []
+    for a in range(cfg.arm_count):
+        seg1, seg2 = rng.uniform(*cfg.segment_length_range, size=2) * min_dim
+        half_width = rng.uniform(*cfg.arm_width_range) * min_dim / 2
         freq = rng.uniform(0.015, 0.035, size=2)
         phase = rng.uniform(0.0, 2 * np.pi, size=2)
-        if a == 0:
-            anchor = (0.12 * cfg.width, 1.02 * cfg.height)
-            base_angle = -np.pi / 3  # up-right, y axis points down
-        else:
-            anchor = (0.88 * cfg.width, 1.02 * cfg.height)
-            base_angle = -2 * np.pi / 3
-        arms.append(_ArmGeometry(anchor, base_angle, seg[0], seg[1], width / 2,
-                                 freq[0], freq[1], phase[0], phase[1],
-                                 sweep1=0.45, sweep2=0.7))
-    return arms[:cfg.arm_count]
-
-
-def rasterize_arm_masks(cfg: SceneConfig, frame_index: int) -> list[np.ndarray]:
-    """Per-arm boolean masks; the union is the ground-truth label."""
-    cfg.validate()
-    yy, xx = np.mgrid[0:cfg.height, 0:cfg.width].astype(np.float64)
-    masks = []
-    for geo in _arm_geometries(cfg):
-        t = float(frame_index)
-        th1 = geo.base_angle + geo.sweep1 * np.sin(2 * np.pi * geo.freq1 * t + geo.phase1)
-        th2 = geo.sweep2 * np.sin(2 * np.pi * geo.freq2 * t + geo.phase2)
-        elbow = (geo.anchor[0] + geo.seg1 * np.cos(th1),
-                 geo.anchor[1] + geo.seg1 * np.sin(th1))
-        tip = (elbow[0] + geo.seg2 * np.cos(th1 + th2),
-               elbow[1] + geo.seg2 * np.sin(th1 + th2))
-        d1 = _segment_distance(xx, yy, geo.anchor, elbow)
+        # Anchored below the bottom edge; y points down, so arm 0 rises up-right.
+        anchor = ((0.12 if a == 0 else 0.88) * cfg.width, 1.02 * cfg.height)
+        base_angle = -np.pi / 3 if a == 0 else -2 * np.pi / 3
+        th1 = base_angle + 0.45 * np.sin(2 * np.pi * freq[0] * t + phase[0])
+        th2 = 0.7 * np.sin(2 * np.pi * freq[1] * t + phase[1])
+        elbow = (anchor[0] + seg1 * np.cos(th1), anchor[1] + seg1 * np.sin(th1))
+        tip = (elbow[0] + seg2 * np.cos(th1 + th2), elbow[1] + seg2 * np.sin(th1 + th2))
+        d1 = _segment_distance(xx, yy, anchor, elbow)
         d2 = _segment_distance(xx, yy, elbow, tip)
-        masks.append(np.minimum(d1, d2) <= geo.half_width)
+        masks.append(np.minimum(d1, d2) <= half_width)
     return masks
 
 
@@ -312,7 +291,7 @@ def generate_scene(cfg: SceneConfig, frame_index: int) -> PairedSample:
         frame[mask] = shade
     condition = ImageBuffer(np.clip(np.rint(frame), 0, 255).astype(np.uint8))
     label = ImageBuffer(np.where(union, 255, 0).astype(np.uint8))
-    assert np.array_equal(label.gray() >= 128, union)  # label is the draw log
+    assert np.array_equal(label.mask(), union)  # label is the draw log
     return PairedSample(condition, label)
 
 
@@ -321,6 +300,7 @@ def generate_scene(cfg: SceneConfig, frame_index: int) -> PairedSample:
 
 
 _ENTRY_KEYS = {"paired-files": ("condition", "label"), "stitched": ("pair",)}
+_DEFAULT_PATTERNS = {"paired-files": "frame_*.p?m", "stitched": "pair_*.p?m"}
 
 
 @dataclass
@@ -334,17 +314,6 @@ class DatasetManifest:
     @property
     def count(self) -> int:
         return len(self.entries)
-
-    def validate_files(self):
-        if not self.entries:
-            raise ValueError(f"manifest {self.root}: zero entries")
-        for i, e in enumerate(self.entries):
-            for key in _ENTRY_KEYS[self.format]:
-                if not isinstance(e.get(key), str):
-                    raise ValueError(f"manifest {self.root}: entry {i} lacks a '{key}' file name")
-                p = self.root / e[key]
-                if not p.exists():
-                    raise FileNotFoundError(f"manifest {self.root}: missing file {p}")
 
     def save(self, path: str | Path | None = None) -> Path:
         path = Path(path) if path else self.root / "manifest.json"
@@ -400,23 +369,25 @@ def synth_dataset(cfg: SceneConfig, count: int, out_dir: str | Path,
     return manifest
 
 
-def build_manifest(directory: str | Path, pattern: str = "frame_*.p?m",
+def build_manifest(directory: str | Path, pattern: str | None = None,
                    fmt: str = "paired-files") -> DatasetManifest:
-    """Scan an existing frame directory into a manifest."""
+    """Scan an existing frame directory into a manifest; `pattern=None` means
+    the format's default from `_DEFAULT_PATTERNS`."""
+    if fmt not in _ENTRY_KEYS:
+        raise ValueError(f"build_manifest: unknown format {fmt!r}")
+    if pattern is None:
+        pattern = _DEFAULT_PATTERNS[fmt]
     root = Path(directory)
     manifest = DatasetManifest(root=root, format=fmt)
-    if fmt == "stitched":
-        for p in sorted(root.glob(pattern if pattern != "frame_*.p?m" else "pair_*.p?m")):
+    for p in sorted(root.glob(pattern)):
+        if fmt == "stitched":
             manifest.entries.append({"pair": p.name})
-    elif fmt == "paired-files":
-        for p in sorted(root.glob(pattern)):
+        else:
             label_name = re.sub(r"^frame_", "label_", p.stem) + ".pgm"
             if not (root / label_name).exists():
                 raise FileNotFoundError(
                     f"build_manifest: condition {p.name} lacks its label {label_name}")
             manifest.entries.append({"condition": p.name, "label": label_name})
-    else:
-        raise ValueError(f"build_manifest: unknown format {fmt!r}")
     if not manifest.entries:
         raise ValueError(f"build_manifest: no matches for {pattern!r} in {root}")
     return manifest
@@ -433,8 +404,13 @@ def load_manifest(path: str | Path) -> DatasetManifest:
     if not (isinstance(doc.get("entries"), list)
             and all(isinstance(e, dict) for e in doc["entries"])):
         raise ValueError(f"manifest {path}: 'entries' must be a list of objects")
-    manifest = DatasetManifest(root=path.parent, format=fmt,
-                               entries=doc["entries"], seed=doc.get("seed"),
-                               scene_config=doc.get("scene_config"))
-    manifest.validate_files()
-    return manifest
+    if not doc["entries"]:
+        raise ValueError(f"manifest {path}: zero entries")
+    for i, e in enumerate(doc["entries"]):
+        for key in _ENTRY_KEYS[fmt]:
+            if not isinstance(e.get(key), str):
+                raise ValueError(f"manifest {path}: entry {i} lacks a '{key}' file name")
+            if not (path.parent / e[key]).exists():
+                raise FileNotFoundError(f"manifest {path}: missing file {path.parent / e[key]}")
+    return DatasetManifest(root=path.parent, format=fmt, entries=doc["entries"],
+                           seed=doc.get("seed"), scene_config=doc.get("scene_config"))

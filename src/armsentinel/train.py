@@ -189,16 +189,27 @@ def load_checkpoint(path: str | Path, gen_cfg: UNetConfig,
     """Restore (generator, discriminator, opt states, epoch) from a container."""
     stored = load_tensors(path)
 
-    def entry(name: str, scalar: bool = False) -> np.ndarray:
+    def entry(name: str, shape: tuple[int, ...] | None = None) -> np.ndarray:
         if name not in stored:
             raise CheckpointError(f"{path}: missing entry {name!r}")
-        if scalar and stored[name].size != 1:
-            raise CheckpointError(f"{path}: {name!r} holds {stored[name].size} values, not one")
+        if shape is not None and stored[name].shape != shape:
+            raise CheckpointError(f"{path}: {name!r} has shape {stored[name].shape}, "
+                                  f"its parameter {shape}")
         return stored[name]
+
+    def count(name: str) -> int:
+        arr = entry(name)
+        if arr.size != 1:
+            raise CheckpointError(f"{path}: {name!r} holds {arr.size} values, not one")
+        value = float(arr.flat[0])
+        if not (value >= 0 and value.is_integer()):
+            raise CheckpointError(f"{path}: {name!r} is {value}, not a "
+                                  "non-negative whole number")
+        return int(value)
 
     gen = Generator(gen_cfg, seed=0)
     gen.store.load_state_dict({k[4:]: v for k, v in stored.items() if k.startswith("gen/")})
-    epoch = int(entry("meta/epoch", scalar=True).flat[0])
+    epoch = count("meta/epoch")
     if disc_cfg is None:
         return gen, None, None, None, epoch
     disc = Discriminator(disc_cfg, seed=0)
@@ -206,10 +217,10 @@ def load_checkpoint(path: str | Path, gen_cfg: UNetConfig,
     opts = []
     for tag, net in (("opt_g", gen), ("opt_d", disc)):
         opt = AdamState(learning_rate=learning_rate, beta1=beta1,
-                        step_count=int(entry(f"{tag}/step", scalar=True).flat[0]))
-        n = len(net.store.tensors())
-        opt.first_moment = [entry(f"{tag}/m{i:03d}").copy() for i in range(n)]
-        opt.second_moment = [entry(f"{tag}/v{i:03d}").copy() for i in range(n)]
+                        step_count=count(f"{tag}/step"))
+        shapes = [p.data.shape for p in net.store.tensors()]
+        opt.first_moment = [entry(f"{tag}/m{i:03d}", s).copy() for i, s in enumerate(shapes)]
+        opt.second_moment = [entry(f"{tag}/v{i:03d}", s).copy() for i, s in enumerate(shapes)]
         opts.append(opt)
     return gen, disc, opts[0], opts[1], epoch
 

@@ -280,7 +280,7 @@ def test_criterion_7_evaluation_oracles(full_run):
                     expect_nonzero += 1
                 expect_bins[diff] += 1
         assert nonzero_count(d) == expect_nonzero
-        assert histogram(d).bins.tolist() == expect_bins
+        assert histogram(d).tolist() == expect_bins
 
     report = full_run["report"]
     pixels = 40 * 64 * 64

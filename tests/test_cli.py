@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import shutil
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -125,14 +126,17 @@ class TestDataErrors:
                      "--out", str(tmp_path / "out")])
         assert code == 2
 
+    BAD_COUNTS = {"two-values": [4.0, 4.0], "inf": [np.inf], "nan": [np.nan],
+                  "negative": [-3.0], "fraction": [2.5]}
+
     @pytest.mark.parametrize("command", ["infer", "guard", "bench"])
-    @pytest.mark.parametrize("edit", ["drop", "two-values"])
+    @pytest.mark.parametrize("edit", ["drop", *BAD_COUNTS])
     def test_checkpoint_bad_epoch_entry(self, tmp_path, capsys, small_run, command, edit):
         tensors = load_tensors(small_run["final_ckpt"])
         if edit == "drop":
             del tensors["meta/epoch"]
         else:
-            tensors["meta/epoch"] = np.array([4.0, 4.0], dtype=np.float32)
+            tensors["meta/epoch"] = np.array(self.BAD_COUNTS[edit], dtype=np.float32)
         bad = tmp_path / "bad.bin"
         save_tensors(bad, tensors)
         code = main([command, "--ckpt", str(bad),
@@ -152,6 +156,32 @@ class TestDataErrors:
                      "--quiet", "--config", small_config(tmp_path)])
         assert code == 2
         assert entry in capsys.readouterr().err
+
+    @pytest.mark.parametrize("entry, value", [
+        ("opt_g/step", [np.inf]), ("opt_d/step", [-1.0]), ("opt_g/step", [2.5]),
+        ("opt_g/m000", [0.0, 0.0]), ("opt_d/v003", [0.0]),
+    ], ids=["inf-step", "negative-step", "fraction-step", "short-moment", "scalar-moment"])
+    def test_resume_bad_optimizer_entry(self, tmp_path, capsys, small_run, entry, value):
+        tensors = load_tensors(small_run["final_ckpt"])
+        tensors[entry] = np.array(value, dtype=np.float32)
+        bad = tmp_path / "bad.bin"
+        save_tensors(bad, tensors)
+        code = main(["train", "--manifest", str(small_run["manifest_path"]),
+                     "--out", str(tmp_path / "run"), "--epochs", "5", "--resume", str(bad),
+                     "--quiet", "--config", small_config(tmp_path)])
+        assert code == 2
+        assert entry in capsys.readouterr().err
+        assert not (tmp_path / "run" / "epochs.csv").exists()
+
+    def test_discriminator_in_channels_rejected(self, tmp_path, capsys, small_run):
+        doc = json.loads(Path(small_config(tmp_path)).read_text())
+        doc["discriminator"]["in_channels"] = 9
+        (tmp_path / "config.json").write_text(json.dumps(doc))
+        code = main(["train", "--manifest", str(small_run["manifest_path"]),
+                     "--out", str(tmp_path / "run"), "--epochs", "1", "--quiet",
+                     "--config", str(tmp_path / "config.json")])
+        assert code == 2
+        assert "discriminator.in_channels" in capsys.readouterr().err
 
 
 class TestBench:

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import numpy as np
@@ -226,6 +227,20 @@ class TestSceneGenerator:
         with pytest.raises(ValueError, match="degenerate"):
             SceneConfig(arm_width_range=(0.0, 0.001)).validate()
 
+    def test_scene_bytes_pinned(self):
+        # Pins the exact scene bytes, so a rewrite of the rasterizer or the
+        # background cannot change a dataset silently.
+        digest = hashlib.sha256()
+        for arms in (1, 2):
+            for channels in (1, 3):
+                for frame in (0, 57):
+                    sample = generate_scene(SceneConfig(seed=5, arm_count=arms,
+                                                        channels=channels), frame)
+                    digest.update(sample.condition.pixels.tobytes())
+                    digest.update(sample.label.pixels.tobytes())
+        assert digest.hexdigest() == (
+            "c6a883582b1117f9acc22c4605f691207009b43dc1aa391ed3a7218e29771822")
+
 
 class TestManifests:
     def test_synth_dataset_entries_readable(self, tmp_path):
@@ -260,6 +275,14 @@ class TestManifests:
         synth_dataset(SceneConfig(width=16, height=16, seed=4), 3, tmp_path)
         manifest = build_manifest(tmp_path)
         assert manifest.count == 3
+
+    def test_stitched_pattern(self, tmp_path):
+        synth_dataset(SceneConfig(width=16, height=16, seed=4), 2, tmp_path, fmt="stitched")
+        assert build_manifest(tmp_path, fmt="stitched").count == 2
+        for p in tmp_path.glob("pair_*.ppm"):
+            p.rename(tmp_path / p.name.replace("pair_", "frame_"))
+        manifest = build_manifest(tmp_path, pattern="frame_*.p?m", fmt="stitched")
+        assert [e["pair"] for e in manifest.entries] == ["frame_00000.ppm", "frame_00001.ppm"]
 
     def test_empty_directory(self, tmp_path):
         with pytest.raises(ValueError, match="no matches"):
