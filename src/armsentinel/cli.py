@@ -98,9 +98,10 @@ def load_config(path: str | None) -> dict:
 def _section(config: dict, name: str, cls, **overrides):
     body = dict(config.get(name, {}))
     body.update({k: v for k, v in overrides.items() if v is not None})
-    for key in ("segment_length_range", "arm_width_range"):
-        if key in body and isinstance(body[key], list):
-            body[key] = tuple(body[key])
+    hints = typing.get_type_hints(cls)
+    for key, value in body.items():
+        if isinstance(value, list) and typing.get_origin(hints[key]) is tuple:
+            body[key] = tuple(value)
     return cls(**body)
 
 

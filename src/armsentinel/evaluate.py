@@ -17,6 +17,7 @@ from .pipeline import DatasetManifest, ImageBuffer, SceneConfig, generate_scene,
 from .tensor import Tensor
 from .train import load_checkpoint
 
+SAMPLE_DIFFS = 4
 REPORT_HEADER = ["frame", "nonzero_a", "nonzero_b", "mae_a", "mae_b", "iou_b", "dice_b"]
 
 
@@ -141,13 +142,13 @@ def _write_report(report: ComparativeReport, out_dir: Path) -> None:
 
 def compare_checkpoints(ckpt_a: str | Path, ckpt_b: str | Path,
                         manifest: DatasetManifest, gen_cfg: UNetConfig,
-                        out_dir: str | Path | None = None,
-                        sample_diffs: int = 4) -> ComparativeReport:
+                        out_dir: str | Path | None = None) -> ComparativeReport:
     """Evaluate two checkpoints of the same generator config over a manifest.
 
     Per frame: infer, binarize at 128, subtract against the label; aggregate
     non-zero counts and histograms, and report ratio = mean_nonzero(a) /
-    mean_nonzero(b) (a is the baseline).
+    mean_nonzero(b) (a is the baseline).  The diff images of the first
+    `SAMPLE_DIFFS` frames go to `out_dir`.
     """
     pairs = manifest.load_pairs_unit_interval()
     if not pairs:
@@ -167,7 +168,7 @@ def compare_checkpoints(ckpt_a: str | Path, ckpt_b: str | Path,
                                     mae_a, mae_b, ov["iou"], ov["dice"]))
         report.histogram_a += histogram(diff_a)
         report.histogram_b += histogram(diff_b)
-        if frame < sample_diffs:
+        if frame < SAMPLE_DIFFS:
             diff_images.append((frame, diff_a, diff_b))
 
     if out_dir is not None:

@@ -83,17 +83,6 @@ class _ParamStore:
     def state_dict(self) -> dict[str, np.ndarray]:
         return {name: t.data for name, t in self.params.items()}
 
-    def load_state_dict(self, state: dict[str, np.ndarray]) -> None:
-        for name, t in self.params.items():
-            if name not in state:
-                raise ShapeError(f"missing parameter tensor '{name}'")
-            if tuple(state[name].shape) != tuple(t.data.shape):
-                raise ShapeError(
-                    f"parameter '{name}': stored shape {state[name].shape} "
-                    f"!= expected {t.data.shape}")
-            t.data = state[name].astype(np.float32).copy()
-            t.grad = np.zeros_like(t.data)
-
     def zero_grad(self):
         for t in self.params.values():
             t.zero_grad()

@@ -6,7 +6,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .tensor import ShapeError, Tensor
+from .tensor import Tensor
 
 
 @dataclass
@@ -25,19 +25,16 @@ class AdamState:
             self.second_moment = [np.zeros_like(p.data) for p in params]
 
 
-def adam_step(params: list[Tensor], grads: list[np.ndarray], state: AdamState) -> None:
-    """One in-place Adam update over aligned parameter/gradient lists."""
-    if len(params) != len(grads):
-        raise ShapeError(f"adam_step: {len(params)} params vs {len(grads)} grads")
+def adam_step(params: list[Tensor], state: AdamState) -> None:
+    """One in-place Adam update of each parameter from its accumulated `grad`."""
     state._ensure_moments(params)
     state.step_count += 1
     t = state.step_count
     b1, b2 = state.beta1, state.beta2
     bc1 = 1.0 - b1 ** t
     bc2 = 1.0 - b2 ** t
-    for i, (p, g) in enumerate(zip(params, grads)):
-        if p.data.shape != g.shape:
-            raise ShapeError(f"adam_step: param {i} shape {p.data.shape} != grad {g.shape}")
+    for i, p in enumerate(params):
+        g = p.grad
         m = state.first_moment[i]
         v = state.second_moment[i]
         m *= b1

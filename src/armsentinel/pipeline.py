@@ -147,26 +147,12 @@ def write_netpbm(img: ImageBuffer, path: str | Path) -> None:
 # label combination and pair stitching
 
 
-def combine_labels(left: ImageBuffer, right: ImageBuffer,
-                   mode: str = "union") -> ImageBuffer:
-    """Merge per-arm masks into one label (inputs binarized at 128).
-
-    union: 255 where either arm.  identity_coded: left-only 85, right-only
-    170, overlap 255 -- equidistant gray levels so arm identity survives
-    grayscale storage.
-    """
+def combine_labels(left: ImageBuffer, right: ImageBuffer) -> ImageBuffer:
+    """Merge per-arm masks into one label: 255 where either arm's `mask()` is on."""
     if (left.width, left.height) != (right.width, right.height):
         raise ValueError(f"combine_labels: dimensions {left.width}x{left.height} "
                          f"vs {right.width}x{right.height}")
-    if mode not in ("union", "identity_coded"):
-        raise ValueError(f"combine_labels: unknown mode {mode!r}")
-    lmask = left.mask()
-    rmask = right.mask()
-    if mode == "union":
-        out = np.where(lmask | rmask, 255, 0)
-    else:
-        out = lmask.astype(np.uint16) * 85 + rmask.astype(np.uint16) * 170
-    return ImageBuffer(out.astype(np.uint8))
+    return ImageBuffer(np.where(left.mask() | right.mask(), 255, 0).astype(np.uint8))
 
 
 def stitch_pair(condition: ImageBuffer, label: ImageBuffer) -> ImageBuffer:
@@ -383,6 +369,9 @@ def build_manifest(directory: str | Path, pattern: str | None = None,
         if fmt == "stitched":
             manifest.entries.append({"pair": p.name})
         else:
+            if not p.stem.startswith("frame_"):
+                raise ValueError(f"build_manifest: {p.name} matches {pattern!r} but is not "
+                                 "a frame_* condition file")
             label_name = re.sub(r"^frame_", "label_", p.stem) + ".pgm"
             if not (root / label_name).exists():
                 raise FileNotFoundError(

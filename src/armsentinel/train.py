@@ -34,8 +34,6 @@ class TrainConfig:
     learning_rate: float = 2e-4
     beta1: float = 0.5
     l1_weight: float = 100.0
-    log_clamp_epsilon: float = 1e-7
-    saturating_loss: bool = False  # literal log(1-D(G)) generator objective
     seed: int = 0
     manifest_path: str = ""
     output_dir: str = "runs"
@@ -47,8 +45,6 @@ class TrainConfig:
             raise ValueError("TrainConfig: checkpoint_every must be >= 1")
         if self.l1_weight < 0:
             raise ValueError("TrainConfig: l1_weight must be >= 0")
-        if self.log_clamp_epsilon <= 0:
-            raise ValueError("TrainConfig: log_clamp_epsilon must be > 0")
 
 
 @dataclass
@@ -94,24 +90,14 @@ def discriminator_loss(d_real: Tensor, d_fake: Tensor, clamp_eps: float = 1e-7) 
 
 
 def generator_loss(d_fake: Tensor, generated: Tensor, target: Tensor,
-                   l1_weight: float = 100.0, clamp_eps: float = 1e-7,
-                   saturating: bool = False) -> Tensor:
-    """Adversarial term plus weighted L1 reconstruction.
-
-    Default is the non-saturating -log D(G) form; `saturating=True` selects
-    the literal +log(1 - D(G)) objective (identical fixed points).
-    """
+                   l1_weight: float = 100.0, clamp_eps: float = 1e-7) -> Tensor:
+    """Non-saturating adversarial term -log D(G) plus weighted L1 reconstruction."""
     if generated.shape != target.shape:
         raise T.ShapeError(f"generator_loss: generated {generated.shape} "
                            f"!= target {target.shape}")
     if l1_weight < 0:
         raise ValueError("generator_loss: l1_weight must be >= 0")
-    if saturating:
-        adv = T.mean(T.log(T.clamp_min(1.0 - d_fake, clamp_eps)))
-    else:
-        adv = -T.mean(T.log(T.clamp_min(d_fake, clamp_eps)))
-    if l1_weight == 0:
-        return adv
+    adv = -T.mean(T.log(T.clamp_min(d_fake, clamp_eps)))
     return adv + l1_weight * T.mean(T.abs_(generated - target))
 
 
@@ -130,7 +116,6 @@ def train_step(gen: Generator, disc: Discriminator,
     """One discriminator update then one generator update on a batch."""
     if conditions.shape[0] == 0:
         raise ValueError("train_step: empty batch")
-    eps = cfg.log_clamp_epsilon
     cond = Tensor(conditions.astype(np.float32))
     real = Tensor(labels.astype(np.float32))
 
@@ -140,24 +125,22 @@ def train_step(gen: Generator, disc: Discriminator,
     disc.store.zero_grad()
     d_real = disc.forward(cond, real)
     d_fake_det = disc.forward(cond, fake.detach())
-    d_loss = discriminator_loss(d_real, d_fake_det, eps)
+    d_loss = discriminator_loss(d_real, d_fake_det)
     d_loss.backward()
-    d_params = disc.store.tensors()
-    adam_step(d_params, [p.grad for p in d_params], opt_d)
+    adam_step(disc.store.tensors(), opt_d)
 
-    v_est = gan_value(d_real.data, d_fake_det.data, eps)
+    v_est = gan_value(d_real.data, d_fake_det.data)
 
-    # Generator update against the freshly updated discriminator.
+    # Generator update against the freshly updated discriminator.  The
+    # discriminator gradients it leaves behind are zeroed before the next
+    # discriminator update reads them.
     gen.store.zero_grad()
-    disc.store.zero_grad()
     d_fake = disc.forward(cond, fake)
-    g_loss = generator_loss(d_fake, fake, real, cfg.l1_weight, eps,
-                            saturating=cfg.saturating_loss)
+    g_loss = generator_loss(d_fake, fake, real, cfg.l1_weight)
     g_loss.backward()
-    g_params = gen.store.tensors()
-    adam_step(g_params, [p.grad for p in g_params], opt_g)
+    adam_step(gen.store.tensors(), opt_g)
 
-    l1 = float(np.abs(fake.data - real.data).mean()) if cfg.l1_weight > 0 else 0.0
+    l1 = float(np.abs(fake.data - real.data).mean())
     adv = float(g_loss.item()) - cfg.l1_weight * l1
     return StepRecord(d_loss=float(d_loss.item()), g_adv=adv, g_l1=l1, v_estimate=v_est)
 
@@ -195,7 +178,13 @@ def load_checkpoint(path: str | Path, gen_cfg: UNetConfig,
         if shape is not None and stored[name].shape != shape:
             raise CheckpointError(f"{path}: {name!r} has shape {stored[name].shape}, "
                                   f"its parameter {shape}")
+        if not np.isfinite(stored[name]).all():
+            raise CheckpointError(f"{path}: {name!r} holds non-finite values")
         return stored[name]
+
+    def load_params(tag: str, net) -> None:
+        for name, p in net.store.params.items():
+            p.data = entry(f"{tag}/{name}", p.data.shape)
 
     def count(name: str) -> int:
         arr = entry(name)
@@ -208,12 +197,12 @@ def load_checkpoint(path: str | Path, gen_cfg: UNetConfig,
         return int(value)
 
     gen = Generator(gen_cfg, seed=0)
-    gen.store.load_state_dict({k[4:]: v for k, v in stored.items() if k.startswith("gen/")})
+    load_params("gen", gen)
     epoch = count("meta/epoch")
     if disc_cfg is None:
         return gen, None, None, None, epoch
     disc = Discriminator(disc_cfg, seed=0)
-    disc.store.load_state_dict({k[5:]: v for k, v in stored.items() if k.startswith("disc/")})
+    load_params("disc", disc)
     opts = []
     for tag, net in (("opt_g", gen), ("opt_d", disc)):
         opt = AdamState(learning_rate=learning_rate, beta1=beta1,

@@ -87,8 +87,8 @@ class TestDataErrors:
     @pytest.mark.parametrize("doc", [{"scene": {"width": "64"}},
                                      {"budget": {"budget_ms": "300"}},
                                      {"region": {"permitted_rect": [0, 0, 8]}},
-                                     {"train": {"saturating_loss": 1}}],
-                             ids=["str-for-int", "str-for-float", "short-list", "int-for-bool"])
+                                     {"train": {"epochs": True}}],
+                             ids=["str-for-int", "str-for-float", "short-list", "bool-for-int"])
     def test_mistyped_config_value(self, tmp_path, capsys, doc):
         cfg = tmp_path / "bad.json"
         cfg.write_text(json.dumps(doc))
@@ -144,6 +144,34 @@ class TestDataErrors:
                      "--out", str(tmp_path / "out"), "--config", small_config(tmp_path)])
         assert code == 2
         assert "meta/epoch" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["infer", "guard", "bench"])
+    @pytest.mark.parametrize("edit", ["drop", "nan"])
+    def test_checkpoint_bad_parameter_entry(self, tmp_path, capsys, small_run, command, edit):
+        tensors = load_tensors(small_run["final_ckpt"])
+        if edit == "drop":
+            del tensors["gen/enc0.weight"]
+        else:
+            tensors["gen/enc0.weight"].flat[5] = np.nan
+        bad = tmp_path / "bad.bin"
+        save_tensors(bad, tensors)
+        out = tmp_path / "out"
+        code = main([command, "--ckpt", str(bad),
+                     "--manifest", str(small_run["manifest_path"]),
+                     "--out", str(out), "--config", small_config(tmp_path)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert str(bad) in err and "gen/enc0.weight" in err
+        assert not out.exists()
+
+    def test_prepare_rejects_label_match(self, tmp_path, capsys):
+        data = tmp_path / "data"
+        synth_dataset(SMALL_SCENE, 2, data)
+        (data / "manifest.json").unlink()
+        code = main(["prepare", "--dir", str(data), "--pattern", "*.p?m"])
+        assert code == 2
+        assert "label_00000.pgm" in capsys.readouterr().err
+        assert not (data / "manifest.json").exists()
 
     @pytest.mark.parametrize("entry", ["opt_g/step", "opt_d/v003"])
     def test_resume_missing_optimizer_entry(self, tmp_path, capsys, small_run, entry):
@@ -227,7 +255,7 @@ json_values = st.recursive(
                                                                 max_size=3),
     max_leaves=8)
 config_keys = st.sampled_from(["width", "seed", "arm_width_range", "learning_rate",
-                               "saturating_loss", "output_dir", "depth", "budget_ms",
+                               "epochs", "output_dir", "depth", "budget_ms",
                                "policy", "permitted_rect", "breach_fraction_threshold",
                                "consecutive_frames_to_override", "bogus"])
 config_docs = st.dictionaries(

@@ -112,25 +112,14 @@ class TestCombineLabels:
         right = np.zeros((6, 6), dtype=np.uint8)
         left.flat[:10] = 255
         right.flat[10:30] = 255
-        out = combine_labels(ImageBuffer(left), ImageBuffer(right), "union")
+        out = combine_labels(ImageBuffer(left), ImageBuffer(right))
         assert (out.pixels == 255).sum() == 30
 
     def test_union_idempotent_on_identical(self):
         rng = np.random.default_rng(1)
         img = mask_image((5, 5), rng)
-        out = combine_labels(img, img, "union")
+        out = combine_labels(img, img)
         assert np.array_equal(out.pixels, img.pixels)
-
-    def test_identity_coded_table(self):
-        left = ImageBuffer(np.array([[255, 0]], dtype=np.uint8))
-        right = ImageBuffer(np.array([[255, 255]], dtype=np.uint8))
-        out = combine_labels(left, right, "identity_coded")
-        assert out.pixels[0, :, 0].tolist() == [255, 170]
-
-    def test_identity_coded_left_only(self):
-        left = ImageBuffer(np.array([[255]], dtype=np.uint8))
-        right = ImageBuffer(np.array([[0]], dtype=np.uint8))
-        assert combine_labels(left, right, "identity_coded").pixels[0, 0, 0] == 85
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError, match="dimensions"):
@@ -141,8 +130,8 @@ class TestCombineLabels:
     def test_union_commutative(self, a):
         rng = np.random.default_rng(int(a.sum()) % 1000)
         b = (rng.random(a.shape) > 0.5).astype(np.uint8) * 255
-        ab = combine_labels(ImageBuffer(a), ImageBuffer(b), "union")
-        ba = combine_labels(ImageBuffer(b), ImageBuffer(a), "union")
+        ab = combine_labels(ImageBuffer(a), ImageBuffer(b))
+        ba = combine_labels(ImageBuffer(b), ImageBuffer(a))
         assert np.array_equal(ab.pixels, ba.pixels)
 
     def test_union_associative_and_count_bound(self):

@@ -1,9 +1,11 @@
+import hashlib
 import math
 
 import numpy as np
 import pytest
 
 from armsentinel import tensor as T
+from armsentinel.checkpoint import CheckpointError
 from armsentinel.nets import Discriminator, DiscriminatorConfig, Generator, UNetConfig
 from armsentinel.optim import AdamState
 from armsentinel.pipeline import SceneConfig, synth_dataset
@@ -105,12 +107,6 @@ class TestLosses:
         loss = generator_loss(d_fake, gen, target, 100.0)
         assert loss.item() == pytest.approx(math.log(2) + 50.0, abs=1e-5)
 
-    def test_saturating_variant(self):
-        d_fake = Tensor(np.full(4, 0.5))
-        gen = Tensor(np.full((2, 2), 0.5))
-        loss = generator_loss(d_fake, gen, gen, 0.0, saturating=True)
-        assert loss.item() == pytest.approx(math.log(0.5), abs=1e-6)
-
     def test_shape_mismatch(self):
         with pytest.raises(ShapeError):
             generator_loss(Tensor(np.full(4, 0.5)), Tensor(np.zeros((2, 2))),
@@ -178,6 +174,20 @@ class TestTrainStep:
         assert l1_values[-1] < l1_values[0]
         assert np.mean(l1_values[-10:]) < np.mean(l1_values[:10])
 
+    def test_g_l1_logged_at_zero_weight(self):
+        # The first step's fake comes from the same weights and dropout seed
+        # whatever the weight, so the logged reconstruction error must match.
+        conds, labels = self.batch()
+        logged = []
+        for weight in (0.0, 100.0):
+            gen = Generator(GEN_CFG, seed=0)
+            disc = Discriminator(DISC_CFG, seed=1)
+            cfg = TrainConfig(l1_weight=weight, manifest_path="x")
+            logged.append(train_step(gen, disc, conds, labels, AdamState(), AdamState(),
+                                     cfg, 7).g_l1)
+        assert logged[0] > 0.0
+        assert logged[0] == logged[1]
+
     def test_empty_batch_rejected(self):
         gen = Generator(GEN_CFG, seed=0)
         disc = Discriminator(DISC_CFG, seed=1)
@@ -231,6 +241,11 @@ class TestTrainLoop:
         header = (tmp_path / "run" / "epochs.csv").read_text().splitlines()[0]
         assert header == "epoch,d_loss,g_adv,g_l1,v_estimate,seconds"
 
+    def test_checkpoint_bytes_pinned(self, tmp_path):
+        ckpts, _ = train(make_run(tmp_path), GEN_CFG, DISC_CFG)
+        digest = hashlib.sha256(ckpts[0].read_bytes()).hexdigest()
+        assert digest == "df945b2b304051206aa4bdb3796a2f41e5cd77ead6cd1e0beaa8a03768236a9f"
+
 
 class TestCheckpointIO:
     def test_save_load_save_byte_identical(self, tmp_path):
@@ -255,5 +270,5 @@ class TestCheckpointIO:
         disc = Discriminator(DISC_CFG, seed=1)
         path = tmp_path / "c.bin"
         save_checkpoint(path, gen, disc, AdamState(), AdamState(), epoch=1)
-        with pytest.raises(ShapeError, match="enc0.weight"):
+        with pytest.raises(CheckpointError, match="gen/enc0.weight"):
             load_checkpoint(path, UNetConfig(base_filters=8, depth=3))
