@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import sys
 import typing
 from pathlib import Path
@@ -22,7 +23,6 @@ from .guard import LatencyBudget, LatencyReport, SafeRegion, guard_run, make_seg
 from .nets import DiscriminatorConfig, UNetConfig
 from .pipeline import (ImageBuffer, NetpbmError, SceneConfig, build_manifest, load_manifest,
                        synth_dataset, write_netpbm)
-from .tensor import NonFiniteError, ShapeError
 from .train import TrainConfig, load_checkpoint, train
 
 USAGE_EXIT = 1
@@ -67,13 +67,22 @@ def _json_fits(value, hint) -> bool:
     return type(value) is hint
 
 
+def _finite_number(token: str) -> float:
+    value = float(token)
+    if not math.isfinite(value):
+        raise ValueError(f"non-finite number {token}")
+    return value
+
+
 def load_config(path: str | None) -> dict:
-    """Strict JSON config: unknown sections or keys and mistyped values are rejected."""
+    """Strict JSON config: unknown sections or keys, mistyped values and
+    non-finite numbers (NaN, Infinity, 1e999) are rejected."""
     if path is None:
         return {}
     try:
-        doc = json.loads(Path(path).read_text())
-    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
+        doc = json.loads(Path(path).read_text(), parse_float=_finite_number,
+                         parse_constant=_finite_number)
+    except (ValueError, RecursionError) as exc:  # JSONDecodeError and UnicodeDecodeError too
         raise ConfigError(f"config {path}: not valid JSON ({exc})") from exc
     if not isinstance(doc, dict):
         raise ConfigError(f"config {path}: top level must be an object")
@@ -143,10 +152,10 @@ def cmd_train(args) -> int:
                    output_dir=args.out, seed=args.seed, epochs=args.epochs)
     gen_cfg = _gen_cfg(config)
     if "in_channels" in config.get("discriminator", {}):
-        raise ConfigError("config: 'discriminator.in_channels' cannot be set; it comes from "
-                          "the generator's in_channels + out_channels")
+        raise ConfigError("config: 'discriminator.in_channels' cannot be set; it is "
+                          "the generator's in_channels + 1 label channel")
     disc_cfg = _section(config, "discriminator", DiscriminatorConfig,
-                        in_channels=gen_cfg.in_channels + gen_cfg.out_channels)
+                        in_channels=gen_cfg.in_channels + 1)
     ckpts, records = train(cfg, gen_cfg, disc_cfg, resume_from=args.resume,
                            progress=not args.quiet)
     print(f"train: {len(records)} epochs, {len(ckpts)} checkpoints in {cfg.output_dir}")
@@ -203,8 +212,7 @@ def cmd_bench(args) -> int:
         raise ValueError(f"bench: --repetitions must be >= 1, got {args.repetitions}")
     budget, frames, region, segmenter = _guard_setup(args)
     segmenter(frames[0])  # warm-up, excluded from the timings
-    events = guard_run(segmenter, frames * args.repetitions, region, budget,
-                       injected_delay_ms=args.delay_ms)
+    events = guard_run(segmenter, frames * args.repetitions, region, budget)
     for e in events:  # guard_run fails closed; a failed frame has no timing to report
         if e.reason.startswith("error:"):
             raise RuntimeError(f"bench: frame {e.frame % len(frames)} failed ({e.reason})")
@@ -286,8 +294,6 @@ def build_parser() -> _Parser:
     p.add_argument("--manifest", required=True)
     p.add_argument("--budget-ms", type=float, default=None)
     p.add_argument("--repetitions", type=int, default=1)
-    p.add_argument("--delay-ms", type=float, default=0.0,
-                   help="test hook: inject synthetic per-frame delay")
     p.add_argument("--out", default=None)
     p.add_argument("--assert-budget", action="store_true",
                    help="exit 4 on any budget violation")
@@ -306,11 +312,11 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (ConfigError, NetpbmError, CheckpointError, FileNotFoundError,
-            ShapeError, ValueError, json.JSONDecodeError) as exc:
+    # ConfigError, ShapeError and JSONDecodeError are ValueErrors; NonFiniteError is arithmetic.
+    except (NetpbmError, CheckpointError, FileNotFoundError, ValueError) as exc:
         print(f"armsentinel {args.command}: data error: {exc}", file=sys.stderr)
         return DATA_EXIT
-    except (NonFiniteError, ArithmeticError, RuntimeError) as exc:
+    except (ArithmeticError, RuntimeError) as exc:
         print(f"armsentinel {args.command}: runtime error: {exc}", file=sys.stderr)
         return RUNTIME_EXIT
 

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import time
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -44,8 +45,9 @@ class LatencyBudget:
     policy: str = "record"  # "record" | "abort-frame"
 
     def __post_init__(self):
-        if not self.budget_ms > 0:  # also rejects NaN, which no frame time exceeds
-            raise ValueError(f"LatencyBudget: budget_ms must be > 0, got {self.budget_ms}")
+        if not 0 < self.budget_ms < math.inf:  # also NaN and inf, which no frame time exceeds
+            raise ValueError(f"LatencyBudget: budget_ms must be finite and > 0, "
+                             f"got {self.budget_ms}")
         if self.policy not in ("record", "abort-frame"):
             raise ValueError(f"LatencyBudget: unknown policy {self.policy!r}")
 
@@ -172,7 +174,7 @@ class GuardEvent:
 
 def guard_run(segmenter: Callable[[np.ndarray], ImageBuffer],
               frames: Iterable[np.ndarray], region: SafeRegion,
-              budget: LatencyBudget, injected_delay_ms: float = 0.0,
+              budget: LatencyBudget,
               log_path: str | Path | None = None) -> list[GuardEvent]:
     """Online loop: segment -> interlock per frame, all inside one budget window.
 
@@ -182,7 +184,8 @@ def guard_run(segmenter: Callable[[np.ndarray], ImageBuffer],
     Frames after the latch are HALT with reason "override". Each event's `ms`
     times the whole frame, segmenter and interlock, and is what `bench` reports.
     `segmenter` is any frame -> binary-mask callable; tests substitute a
-    ground-truth oracle for the trained generator.
+    ground-truth oracle for the trained generator, and model latency with a
+    segmenter that sleeps.
     """
     state = GuardState()
     events: list[GuardEvent] = []
@@ -197,8 +200,6 @@ def guard_run(segmenter: Callable[[np.ndarray], ImageBuffer],
                 elif frame.shape != expected_shape:
                     raise ValueError(f"guard_run: frame {i} shape {frame.shape} drifted "
                                      f"from {expected_shape}")
-                if injected_delay_ms > 0:
-                    time.sleep(injected_delay_ms / 1000.0)
                 mask = segmenter(frame)
                 latched = state.mode == OVERRIDE
                 state, decision = guard_step(state, mask, region)

@@ -21,13 +21,14 @@ INIT_STD = 0.02
 
 @dataclass
 class UNetConfig:
+    """Generator shape; it always emits one mask channel."""
+
     in_channels: int = 3
-    out_channels: int = 1
     base_filters: int = 16
     depth: int = 4
     dropout_rate: float = 0.5
 
-    def validate(self):
+    def __post_init__(self):
         if self.depth < 2:
             raise ValueError(f"UNetConfig: depth must be >= 2, got {self.depth}")
         if self.base_filters < 1:
@@ -41,11 +42,11 @@ class UNetConfig:
 
 @dataclass
 class DiscriminatorConfig:
-    in_channels: int = 4  # condition channels + label channels
+    in_channels: int = 4  # condition channels + the one label channel
     base_filters: int = 16
     num_layers: int = 3
 
-    def validate(self):
+    def __post_init__(self):
         if self.num_layers < 2:
             raise ValueError(f"DiscriminatorConfig: num_layers must be >= 2, got {self.num_layers}")
         if self.base_filters < 1:
@@ -92,7 +93,6 @@ class Generator:
     """Encoder-decoder with skip concatenation between mirrored stages."""
 
     def __init__(self, cfg: UNetConfig, seed: int = 0):
-        cfg.validate()
         self.cfg = cfg
         store = _ParamStore(seed)
         d = cfg.depth
@@ -109,7 +109,7 @@ class Generator:
             store.norm(f"dec{j}.norm", out_ch)
             skip_ch = cfg.filters(d - 2 - j) if j < d - 1 else 0
             dec_in = out_ch + skip_ch
-        store.conv("out", (cfg.out_channels, cfg.base_filters, 1, 1), cfg.out_channels)
+        store.conv("out", (1, cfg.base_filters, 1, 1), 1)
         self.store = store
 
     def forward(self, condition: Tensor, mode: str = "infer", seed: int = 0) -> Tensor:
@@ -131,17 +131,17 @@ class Generator:
             x = T.conv2d(x, p[f"enc{i}.weight"], p[f"enc{i}.bias"], stride=2, padding=1)
             if 0 < i < cfg.depth - 1:
                 x = T.instance_norm(x, p[f"enc{i}.norm.gain"], p[f"enc{i}.norm.shift"])
-            x = T.leaky_relu(x, 0.2)
+            x = T.leaky_relu(x)
             skips.append(x)
         for j in range(cfg.depth):
             x = T.conv_transpose2d(x, p[f"dec{j}.weight"], p[f"dec{j}.bias"],
                                    stride=2, padding=1)
             x = T.instance_norm(x, p[f"dec{j}.norm.gain"], p[f"dec{j}.norm.shift"])
-            if j < 2 and cfg.dropout_rate > 0.0:
+            if j < 2:
                 x = T.dropout(x, cfg.dropout_rate, seed + j, active=(mode == "train"))
             x = T.relu(x)
             if j < cfg.depth - 1:
-                x = T.concat([x, skips[cfg.depth - 2 - j]], axis=1)
+                x = T.concat([x, skips[cfg.depth - 2 - j]])
         x = T.conv2d(x, p["out.weight"], p["out.bias"], stride=1, padding=0)
         return T.sigmoid(x)
 
@@ -150,7 +150,6 @@ class Discriminator:
     """Stride-2 conv stack scoring local patches of a (condition, label) pair."""
 
     def __init__(self, cfg: DiscriminatorConfig, seed: int = 0):
-        cfg.validate()
         self.cfg = cfg
         store = _ParamStore(seed)
         ch = cfg.in_channels
@@ -174,15 +173,15 @@ class Discriminator:
             raise ShapeError(f"discriminator: channel sum "
                              f"{condition.shape[1]}+{candidate.shape[1]} != {cfg.in_channels}")
         p = self.store
-        x = T.concat([condition, candidate], axis=1)
+        x = T.concat([condition, candidate])
         for i in range(cfg.num_layers):
             x = T.conv2d(x, p[f"layer{i}.weight"], p[f"layer{i}.bias"], stride=2, padding=1)
             if i > 0:
                 x = T.instance_norm(x, p[f"layer{i}.norm.gain"], p[f"layer{i}.norm.shift"])
-            x = T.leaky_relu(x, 0.2)
+            x = T.leaky_relu(x)
         x = T.conv2d(x, p["pre.weight"], p["pre.bias"], stride=1, padding=1)
         x = T.instance_norm(x, p["pre.norm.gain"], p["pre.norm.shift"])
-        x = T.leaky_relu(x, 0.2)
+        x = T.leaky_relu(x)
         x = T.conv2d(x, p["final.weight"], p["final.bias"], stride=1, padding=1)
         return T.sigmoid(x)
 

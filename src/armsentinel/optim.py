@@ -8,13 +8,14 @@ import numpy as np
 
 from .tensor import Tensor
 
+BETA2 = 0.999
+EPSILON = 1e-8
+
 
 @dataclass
 class AdamState:
     learning_rate: float = 1e-3
     beta1: float = 0.9
-    beta2: float = 0.999
-    epsilon: float = 1e-8
     step_count: int = 0
     first_moment: list[np.ndarray] = field(default_factory=list)
     second_moment: list[np.ndarray] = field(default_factory=list)
@@ -30,7 +31,7 @@ def adam_step(params: list[Tensor], state: AdamState) -> None:
     state._ensure_moments(params)
     state.step_count += 1
     t = state.step_count
-    b1, b2 = state.beta1, state.beta2
+    b1, b2 = state.beta1, BETA2
     bc1 = 1.0 - b1 ** t
     bc2 = 1.0 - b2 ** t
     for i, p in enumerate(params):
@@ -43,4 +44,4 @@ def adam_step(params: list[Tensor], state: AdamState) -> None:
         v += (1.0 - b2) * (g * g)
         mhat = m / bc1
         vhat = v / bc2
-        p.data -= (state.learning_rate * mhat / (np.sqrt(vhat) + state.epsilon)).astype(p.dtype)
+        p.data -= (state.learning_rate * mhat / (np.sqrt(vhat) + EPSILON)).astype(p.dtype)

@@ -128,7 +128,10 @@ def read_netpbm(path: str | Path) -> ImageBuffer:
         raise NetpbmError(f"{path}: non-positive dimensions {width}x{height}")
     if maxval != 255:
         raise NetpbmError(f"{path}: unsupported maxval {maxval}, only 255")
-    pos += 1  # single whitespace byte after maxval
+    if not raw[pos:pos + 1].isspace():  # "#" too: a comment here would be read as pixels
+        raise NetpbmError(f"{path}: maxval must be followed by one whitespace byte, "
+                          f"got {raw[pos:pos + 1]!r}")
+    pos += 1
     expected = width * height * channels
     payload = raw[pos:pos + expected]
     if len(payload) < expected:
@@ -188,7 +191,7 @@ class SceneConfig:
     background_scale: int = 8
     seed: int = 0
 
-    def validate(self):
+    def __post_init__(self):
         if self.width < 8 or self.height < 8:
             raise ValueError(f"SceneConfig: frame {self.width}x{self.height} too small")
         if self.arm_count not in (1, 2):
@@ -215,7 +218,6 @@ def rasterize_arm_masks(cfg: SceneConfig, frame_index: int) -> list[np.ndarray]:
     Arm 0 draws its geometry first, so a one-arm scene has the same arm 0 as
     the two-arm scene of the same seed.
     """
-    cfg.validate()
     rng = np.random.default_rng((cfg.seed, 0xA12))
     min_dim = min(cfg.width, cfg.height)
     yy, xx = np.mgrid[0:cfg.height, 0:cfg.width].astype(np.float64)
@@ -262,7 +264,6 @@ def _value_noise(cfg: SceneConfig, frame_index: int) -> np.ndarray:
 
 def generate_scene(cfg: SceneConfig, frame_index: int) -> PairedSample:
     """One (condition, label) pair; label is exact by construction."""
-    cfg.validate()
     noise = _value_noise(cfg, frame_index)
     if cfg.channels == 3:
         frame = np.stack([90 + 110 * noise, 30 + 55 * noise, 35 + 45 * noise], axis=2)
@@ -329,7 +330,6 @@ def synth_dataset(cfg: SceneConfig, count: int, out_dir: str | Path,
         raise ValueError(f"synth_dataset: count must be >= 1, got {count}")
     if fmt not in _ENTRY_KEYS:
         raise ValueError(f"synth_dataset: unknown format {fmt!r}")
-    cfg.validate()
     root = Path(out_dir)
     root.mkdir(parents=True, exist_ok=True)
     from dataclasses import asdict

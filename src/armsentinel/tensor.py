@@ -280,11 +280,10 @@ def relu(x: Tensor) -> Tensor:
                   lambda g, a, o: g * (a > 0), "relu")
 
 
-def leaky_relu(x: Tensor, slope: float = 0.2) -> Tensor:
-    if not 0.0 < slope < 1.0:
-        raise ValueError(f"leaky_relu: slope must be in (0, 1), got {slope}")
-    return _unary(x, lambda a: np.where(a > 0, a, a * slope),
-                  lambda g, a, o: g * np.where(a > 0, 1.0, slope), "leaky_relu")
+def leaky_relu(x: Tensor) -> Tensor:
+    """pix2pix's LeakyReLU, slope 0.2 below zero."""
+    return _unary(x, lambda a: np.where(a > 0, a, a * 0.2),
+                  lambda g, a, o: g * np.where(a > 0, 1.0, 0.2), "leaky_relu")
 
 
 def sigmoid(x: Tensor) -> Tensor:
@@ -326,9 +325,8 @@ def dropout(x: Tensor, rate: float, rng_seed: int, active: bool) -> Tensor:
                   lambda g, a, o: g * keep * scale, "dropout")
 
 
-def instance_norm(x: Tensor, gain: Tensor, bias: Tensor,
-                  epsilon: float = 1e-5) -> Tensor:
-    """Per (sample, channel) plane normalization with learned gain/bias."""
+def instance_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
+    """Per (sample, channel) plane normalization, epsilon 1e-5, learned gain/bias."""
     if x.data.ndim != 4:
         raise ShapeError(f"instance_norm: need NCHW input, got {x.shape}")
     n, c, h, w = x.shape
@@ -338,7 +336,7 @@ def instance_norm(x: Tensor, gain: Tensor, bias: Tensor,
         raise ShapeError(f"instance_norm: gain/bias must be ({c},), got {gain.shape}/{bias.shape}")
     mu = x.data.mean(axis=(2, 3), keepdims=True)
     var = x.data.var(axis=(2, 3), keepdims=True)
-    inv = 1.0 / np.sqrt(var + epsilon)
+    inv = 1.0 / np.sqrt(var + 1e-5)
     xhat = (x.data - mu) * inv
     out_data = xhat * gain.data[None, :, None, None] + bias.data[None, :, None, None]
     _check_finite(out_data, "instance_norm")
@@ -355,24 +353,19 @@ def instance_norm(x: Tensor, gain: Tensor, bias: Tensor,
     return Tensor(out_data, True, "instance_norm", (x, gain, bias), backward)
 
 
-def concat(tensors: list[Tensor], axis: int = 1) -> Tensor:
+def concat(tensors: list[Tensor]) -> Tensor:
+    """Join NCHW tensors along the channel axis."""
     shapes = [t.shape for t in tensors]
-    ref = list(shapes[0])
-    for s in shapes[1:]:
-        trial = list(s)
-        trial[axis] = ref[axis]
-        if trial != ref:
-            raise ShapeError(f"concat: incompatible shapes {shapes} along axis {axis}")
-    out_data = np.concatenate([t.data for t in tensors], axis=axis)
+    if len({s[:1] + s[2:] for s in shapes}) != 1:
+        raise ShapeError(f"concat: incompatible shapes {shapes} along channels")
+    out_data = np.concatenate([t.data for t in tensors], axis=1)
 
     def backward(go):
         off = 0
         for t in tensors:
-            width = t.shape[axis]
-            sl = [slice(None)] * go.ndim
-            sl[axis] = slice(off, off + width)
-            t.grad += go[tuple(sl)]
-            off += width
+            c = t.shape[1]
+            t.grad += go[:, off:off + c]
+            off += c
 
     return Tensor(out_data, True, "concat", tuple(tensors), backward)
 

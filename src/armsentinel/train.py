@@ -10,6 +10,7 @@ comparison always has its baseline.
 from __future__ import annotations
 
 import csv
+import math
 import time
 from dataclasses import dataclass
 from pathlib import Path
@@ -24,6 +25,7 @@ from .pipeline import load_manifest
 from .tensor import NonFiniteError, Tensor
 
 LOG_HEADER = ["epoch", "d_loss", "g_adv", "g_l1", "v_estimate", "seconds"]
+CLAMP_EPS = 1e-7  # floor under each score before its log
 
 
 @dataclass
@@ -38,11 +40,18 @@ class TrainConfig:
     manifest_path: str = ""
     output_dir: str = "runs"
 
-    def validate(self):
+    def __post_init__(self):
         if self.epochs < 1:
             raise ValueError(f"TrainConfig: epochs must be >= 1, got {self.epochs}")
         if self.checkpoint_every < 1:
             raise ValueError("TrainConfig: checkpoint_every must be >= 1")
+        if self.batch_size < 1:
+            raise ValueError(f"TrainConfig: batch_size must be >= 1, got {self.batch_size}")
+        if not 0.0 <= self.learning_rate < math.inf:  # also rejects NaN
+            raise ValueError(f"TrainConfig: learning_rate must be finite and >= 0, "
+                             f"got {self.learning_rate}")
+        if not 0.0 <= self.beta1 < 1.0:  # also rejects NaN
+            raise ValueError(f"TrainConfig: beta1 must be in [0, 1), got {self.beta1}")
         if self.l1_weight < 0:
             raise ValueError("TrainConfig: l1_weight must be >= 0")
 
@@ -68,7 +77,7 @@ def _validate_scores(arr: np.ndarray, name: str):
 
 
 def gan_value(d_real_scores: np.ndarray, d_fake_scores: np.ndarray,
-              clamp_eps: float = 1e-7) -> float:
+              clamp_eps: float = CLAMP_EPS) -> float:
     """Empirical minimax value: E[log D(real)] + E[log(1 - D(fake))]."""
     if clamp_eps <= 0:
         raise ValueError("gan_value: clamp_eps must be > 0")
@@ -80,24 +89,24 @@ def gan_value(d_real_scores: np.ndarray, d_fake_scores: np.ndarray,
                  + np.log(np.maximum(1.0 - fake, clamp_eps)).mean())
 
 
-def discriminator_loss(d_real: Tensor, d_fake: Tensor, clamp_eps: float = 1e-7) -> Tensor:
+def discriminator_loss(d_real: Tensor, d_fake: Tensor) -> Tensor:
     """Negated minimax value; minimizing it maximizes V over D."""
     _validate_scores(d_real.data, "discriminator_loss d_real")
     _validate_scores(d_fake.data, "discriminator_loss d_fake")
-    real_term = T.mean(T.log(T.clamp_min(d_real, clamp_eps)))
-    fake_term = T.mean(T.log(T.clamp_min(1.0 - d_fake, clamp_eps)))
+    real_term = T.mean(T.log(T.clamp_min(d_real, CLAMP_EPS)))
+    fake_term = T.mean(T.log(T.clamp_min(1.0 - d_fake, CLAMP_EPS)))
     return -(real_term + fake_term)
 
 
 def generator_loss(d_fake: Tensor, generated: Tensor, target: Tensor,
-                   l1_weight: float = 100.0, clamp_eps: float = 1e-7) -> Tensor:
+                   l1_weight: float = 100.0) -> Tensor:
     """Non-saturating adversarial term -log D(G) plus weighted L1 reconstruction."""
     if generated.shape != target.shape:
         raise T.ShapeError(f"generator_loss: generated {generated.shape} "
                            f"!= target {target.shape}")
     if l1_weight < 0:
         raise ValueError("generator_loss: l1_weight must be >= 0")
-    adv = -T.mean(T.log(T.clamp_min(d_fake, clamp_eps)))
+    adv = -T.mean(T.log(T.clamp_min(d_fake, CLAMP_EPS)))
     return adv + l1_weight * T.mean(T.abs_(generated - target))
 
 
@@ -228,10 +237,8 @@ def train(cfg: TrainConfig, gen_cfg: UNetConfig | None = None,
           resume_from: str | None = None,
           progress: bool = False) -> tuple[list[Path], list[EpochRecord]]:
     """Full training run; returns checkpoint paths and per-epoch records."""
-    cfg.validate()
     gen_cfg = gen_cfg or UNetConfig()
-    disc_cfg = disc_cfg or DiscriminatorConfig(
-        in_channels=gen_cfg.in_channels + gen_cfg.out_channels)
+    disc_cfg = disc_cfg or DiscriminatorConfig(in_channels=gen_cfg.in_channels + 1)
 
     manifest = load_manifest(cfg.manifest_path)
     pairs = manifest.load_pairs_unit_interval()

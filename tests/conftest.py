@@ -1,3 +1,5 @@
+import time
+
 import numpy as np
 import pytest
 
@@ -5,9 +7,17 @@ from armsentinel.nets import DiscriminatorConfig, UNetConfig
 from armsentinel.pipeline import SceneConfig, synth_dataset
 from armsentinel.train import TrainConfig, train
 
-SMALL_GEN_CFG = UNetConfig(in_channels=3, out_channels=1, base_filters=8, depth=3)
+SMALL_GEN_CFG = UNetConfig(in_channels=3, base_filters=8, depth=3)
 SMALL_DISC_CFG = DiscriminatorConfig(in_channels=4, base_filters=8, num_layers=2)
 SMALL_SCENE = SceneConfig(width=16, height=16, seed=11)
+
+
+def slowed(segmenter, delay_ms):
+    """`segmenter` behind a fixed sleep: how tests model a slow model."""
+    def slow(frame):
+        time.sleep(delay_ms / 1000.0)
+        return segmenter(frame)
+    return slow
 
 
 @pytest.fixture(scope="session")

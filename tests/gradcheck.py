@@ -81,7 +81,7 @@ def _build_instance_norm(shapes, rng):
     x = _leaf(rng.standard_normal(x_shape))
     g = _leaf(rng.standard_normal(c) + 1.0)
     b = _leaf(rng.standard_normal(c))
-    return [x, g, b], lambda i: T.instance_norm(i[0], i[1], i[2], 1e-5)
+    return [x, g, b], lambda i: T.instance_norm(i[0], i[1], i[2])
 
 
 def _build_dropout(shapes, rng):
@@ -92,7 +92,7 @@ def _build_dropout(shapes, rng):
 
 def _build_concat(shapes, rng):
     inputs = [_leaf(rng.standard_normal(s)) for s in shapes]
-    return inputs, lambda i: T.concat(list(i), axis=1)
+    return inputs, lambda i: T.concat(list(i))
 
 
 def _build_binary(op):
@@ -109,7 +109,7 @@ register_primitive("conv_transpose2d", _build_conv(T.conv_transpose2d, 1, stride
 register_primitive("conv_transpose2d_strided",
                    _build_conv(T.conv_transpose2d, 1, stride=2, padding=1))
 register_primitive("relu", _build_unary(T.relu, _away_from_zero))
-register_primitive("leaky_relu", _build_unary(lambda x: T.leaky_relu(x, 0.2), _away_from_zero))
+register_primitive("leaky_relu", _build_unary(T.leaky_relu, _away_from_zero))
 register_primitive("sigmoid", _build_unary(T.sigmoid))
 register_primitive("log", _build_unary(T.log, lambda a: np.abs(a) + 0.5))
 register_primitive("abs", _build_unary(T.abs_, _away_from_zero))

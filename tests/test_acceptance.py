@@ -28,7 +28,7 @@ from armsentinel.pipeline import (ImageBuffer, SceneConfig, combine_labels,
                                   stitch_pair, synth_dataset, write_netpbm)
 from armsentinel.train import TrainConfig, gan_value, train
 
-GEN_CFG = UNetConfig(in_channels=3, out_channels=1, base_filters=16, depth=4)
+GEN_CFG = UNetConfig(in_channels=3, base_filters=16, depth=4)
 DISC_CFG = DiscriminatorConfig(in_channels=4, base_filters=16, num_layers=3)
 SCENE = SceneConfig(width=64, height=64, seed=7)
 TRAIN_SEED = 7
@@ -141,23 +141,26 @@ def test_criterion_4_latency(full_run):
     frames = [c for c, _ in full_run["held"].load_pairs_unit_interval()]
     segmenter(frames[0])  # warm-up, excluded as in `bench`
 
-    def timed(**kwargs):
-        events = guard_run(segmenter, frames, region, budget, **kwargs)
+    def slow_segmenter(frame):  # a model that needs 301 ms per frame
+        time.sleep(0.301)
+        return segmenter(frame)
+
+    def timed(seg):
+        events = guard_run(seg, frames, region, budget)
         assert not any(e.reason.startswith("error:") for e in events)
         return LatencyReport([e.ms for e in events], budget.budget_ms)
 
-    report = timed()
+    report = timed(segmenter)
     recount = sum(1 for t in report.frame_ms if t > budget.budget_ms)
     assert report.violations == recount
     assert len(report.frame_ms) == 40
-    assert report.violations == 0  # delay 0: every frame inside 300 ms
+    assert report.violations == 0  # no added delay: every frame inside 300 ms
 
-    slow = timed(injected_delay_ms=301.0)
+    slow = timed(slow_segmenter)
     assert slow.violations == len(slow.frame_ms)
 
-    events = guard_run(segmenter, frames[:5], region,
-                       LatencyBudget(budget_ms=300.0, policy="abort-frame"),
-                       injected_delay_ms=301.0)
+    events = guard_run(slow_segmenter, frames[:5], region,
+                       LatencyBudget(budget_ms=300.0, policy="abort-frame"))
     assert all(e.decision == HALT and e.reason == "latency" for e in events)
     print(f"\n[criterion 4] PASS latency logic, clean p95 "
           f"{report.summary()['p95_ms']:.1f} ms, 301 ms injection: "

@@ -9,12 +9,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from armsentinel.checkpoint import load_tensors, save_tensors
+from armsentinel import cli
 from armsentinel.cli import ConfigError, load_config, main
 from armsentinel.evaluate import predict_mask
 from armsentinel.guard import make_segmenter
 from armsentinel.pipeline import load_manifest, synth_dataset, write_netpbm
 from armsentinel.train import load_checkpoint
-from tests.conftest import SMALL_GEN_CFG, SMALL_SCENE
+from tests.conftest import SMALL_GEN_CFG, SMALL_SCENE, slowed
 
 
 def small_config(tmp_path):
@@ -211,14 +212,47 @@ class TestDataErrors:
         assert code == 2
         assert "discriminator.in_channels" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("body", [{"batch_size": -1}, {"batch_size": 0},
+                                      {"learning_rate": -1e-4}, {"beta1": 1.0}],
+                             ids=["batch-negative", "batch-zero", "lr-negative", "beta1-one"])
+    def test_train_config_out_of_range(self, tmp_path, capsys, small_run, body):
+        doc = json.loads(Path(small_config(tmp_path)).read_text())
+        doc["train"] = body
+        (tmp_path / "config.json").write_text(json.dumps(doc))
+        run = tmp_path / "run"
+        code = main(["train", "--manifest", str(small_run["manifest_path"]),
+                     "--out", str(run), "--epochs", "1", "--quiet",
+                     "--config", str(tmp_path / "config.json")])
+        assert code == 2
+        assert next(iter(body)) in capsys.readouterr().err
+        assert not (run / "epochs.csv").exists()
+        assert not list(run.glob("ckpt_*"))
+
+    @pytest.mark.parametrize("text", ['{"budget": {"budget_ms": Infinity}}',
+                                      '{"train": {"learning_rate": NaN}}',
+                                      '{"scene": {"arm_width_range": [-Infinity, 0.1]}}',
+                                      '{"budget": {"budget_ms": 1e999}}'],
+                             ids=["Infinity", "NaN", "-Infinity", "overflow"])
+    def test_non_finite_config_number(self, tmp_path, capsys, text):
+        cfg = tmp_path / "bad.json"
+        cfg.write_text(text)
+        with pytest.raises(ConfigError, match="non-finite"):
+            load_config(str(cfg))
+        code = main(["synth", "--count", "1", "--out", str(tmp_path / "d"),
+                     "--config", str(cfg)])
+        assert code == 2
+        assert not (tmp_path / "d").exists()
+
 
 class TestBench:
     LATENCY_KEYS = {"frames", "budget_ms", "violations", "min_ms", "mean_ms",
                     "p50_ms", "p95_ms", "max_ms"}
 
-    def test_injected_delay_counts(self, tmp_path, small_run):
+    def test_injected_delay_counts(self, tmp_path, small_run, monkeypatch):
+        monkeypatch.setattr(cli, "make_segmenter",
+                            lambda ckpt, cfg: slowed(make_segmenter(ckpt, cfg), 301.0))
         code = main(["bench", "--ckpt", str(small_run["final_ckpt"]),
-                     "--manifest", str(small_run["manifest_path"]), "--delay-ms", "301",
+                     "--manifest", str(small_run["manifest_path"]),
                      "--out", str(tmp_path), "--config", small_config(tmp_path)])
         assert code == 0
         summary = json.loads((tmp_path / "latency.json").read_text())

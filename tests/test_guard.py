@@ -11,7 +11,7 @@ from armsentinel.guard import (BREACH, HALT, NOMINAL, OVERRIDE, PROCEED,
                                make_segmenter, reset_override)
 from armsentinel.pipeline import ImageBuffer, load_manifest
 from armsentinel.tensor import NonFiniteError
-from tests.conftest import SMALL_GEN_CFG
+from tests.conftest import SMALL_GEN_CFG, slowed
 
 
 def mask_of(fraction_outside, region, arm_pixels=100):
@@ -195,6 +195,8 @@ class TestLatencyReport:
             LatencyBudget(budget_ms=0.0)
         with pytest.raises(ValueError, match="budget_ms"):
             LatencyBudget(budget_ms=float("nan"))
+        with pytest.raises(ValueError, match="budget_ms"):
+            LatencyBudget(budget_ms=float("inf"))
         with pytest.raises(ValueError, match="policy"):
             LatencyBudget(policy="panic")
 
@@ -226,16 +228,14 @@ class TestGuardRun:
     def test_latency_fail_closed(self, region):
         frames = self.make_frames([0.0, 0.0, 0.0], region)
         budget = LatencyBudget(budget_ms=0.001, policy="abort-frame")
-        events = guard_run(truth_segmenter, frames, region, budget,
-                           injected_delay_ms=2.0)
+        events = guard_run(slowed(truth_segmenter, 2.0), frames, region, budget)
         assert all(e.decision == HALT for e in events)
         assert all(e.reason == "latency" for e in events)
 
     def test_record_policy_does_not_halt(self, region):
         frames = self.make_frames([0.0, 0.0], region)
         budget = LatencyBudget(budget_ms=0.001, policy="record")
-        events = guard_run(truth_segmenter, frames, region, budget,
-                           injected_delay_ms=2.0)
+        events = guard_run(slowed(truth_segmenter, 2.0), frames, region, budget)
         assert all(e.decision == PROCEED for e in events)
 
     def test_frame_drift_rejected(self, region):

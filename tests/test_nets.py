@@ -26,13 +26,13 @@ def expected_generator_params(cfg: UNetConfig) -> int:
         total += dec_in * out_ch * k2 + out_ch + 2 * out_ch
         skip = f[cfg.depth - 2 - j] if j < cfg.depth - 1 else 0
         dec_in = out_ch + skip
-    total += cfg.out_channels * cfg.base_filters + cfg.out_channels  # 1x1 head
+    total += cfg.base_filters + 1              # 1x1 one-channel head
     return total
 
 
 class TestGeneratorBuild:
     def test_parameter_count_default_config(self):
-        cfg = UNetConfig(in_channels=3, out_channels=1, base_filters=16, depth=4)
+        cfg = UNetConfig(in_channels=3, base_filters=16, depth=4)
         gen = Generator(cfg, seed=0)
         count = sum(t.data.size for t in gen.store.tensors())
         assert count == expected_generator_params(cfg)

@@ -17,7 +17,7 @@ def test_zero_gradients_leave_params_unchanged():
 def test_first_step_hand_evaluated():
     # t=1: m_hat = g, v_hat = g^2, update = -lr * g / (|g| + eps) ~ -lr * sign(g)
     p = Tensor(np.array([0.0]), requires_grad=True)
-    state = AdamState(learning_rate=0.1, beta1=0.9, beta2=0.999, epsilon=1e-8)
+    state = AdamState(learning_rate=0.1, beta1=0.9)
     p.grad = np.array([1.0])
     adam_step([p], state)
     assert p.data[0] == pytest.approx(-0.1, abs=1e-7)

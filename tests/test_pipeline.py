@@ -84,6 +84,15 @@ class TestNetpbm:
         with pytest.raises(NetpbmError, match="not a decimal"):
             read_netpbm(path)
 
+    # A maxval token ends at whitespace, "#" or the end of the file; only
+    # whitespace may follow it.
+    @pytest.mark.parametrize("tail", [b"#c\n\x01\x02", b""], ids=["comment", "end-of-file"])
+    def test_maxval_needs_whitespace_byte(self, tmp_path, tail):
+        path = tmp_path / "w.pgm"
+        path.write_bytes(b"P5\n2 1\n255" + tail)
+        with pytest.raises(NetpbmError, match="whitespace byte"):
+            read_netpbm(path)
+
 
 netpbm_bytes = st.one_of(
     st.binary(max_size=64),
@@ -214,7 +223,7 @@ class TestSceneGenerator:
 
     def test_degenerate_config_rejected(self):
         with pytest.raises(ValueError, match="degenerate"):
-            SceneConfig(arm_width_range=(0.0, 0.001)).validate()
+            SceneConfig(arm_width_range=(0.0, 0.001))
 
     def test_scene_bytes_pinned(self):
         # Pins the exact scene bytes, so a rewrite of the rasterizer or the

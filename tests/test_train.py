@@ -53,7 +53,7 @@ class TestLosses:
         eps = 1e-7
         real = Tensor(np.full(4, 1.0 - eps))
         fake = Tensor(np.full(4, eps))
-        loss = discriminator_loss(real, fake, eps)
+        loss = discriminator_loss(real, fake)
         assert abs(loss.item()) < 1e-5
 
     def test_uncertain_loss_value(self):
@@ -90,7 +90,7 @@ class TestLosses:
     def test_generator_optimum(self):
         eps = 1e-7
         gen = Tensor(np.full((1, 1, 2, 2), 0.5))
-        loss = generator_loss(Tensor(np.full(4, 1.0 - eps)), gen, gen, 100.0, eps)
+        loss = generator_loss(Tensor(np.full(4, 1.0 - eps)), gen, gen, 100.0)
         assert abs(loss.item()) < 1e-5
 
     def test_lambda_zero_is_pure_adversarial(self):
