@@ -17,12 +17,11 @@ from pathlib import Path
 
 import numpy as np
 
-from .checkpoint import CheckpointError
 from .evaluate import compare_checkpoints, predict_mask, single_arm_probe
 from .guard import LatencyBudget, LatencyReport, SafeRegion, guard_run, make_segmenter
-from .nets import DiscriminatorConfig, UNetConfig
-from .pipeline import (ImageBuffer, NetpbmError, SceneConfig, build_manifest, load_manifest,
-                       synth_dataset, write_netpbm)
+from .nets import DiscriminatorConfig, Generator, UNetConfig
+from .pipeline import (ImageBuffer, SceneConfig, build_manifest, load_manifest, synth_dataset,
+                       write_netpbm)
 from .train import TrainConfig, load_checkpoint, train
 
 USAGE_EXIT = 1
@@ -74,14 +73,19 @@ def _finite_number(token: str) -> float:
     return value
 
 
+def _float_sized_int(token: str) -> int:
+    _finite_number(token)  # an int past the float range is as unbounded as Infinity
+    return int(token)
+
+
 def load_config(path: str | None) -> dict:
     """Strict JSON config: unknown sections or keys, mistyped values and
-    non-finite numbers (NaN, Infinity, 1e999) are rejected."""
+    non-finite numbers (NaN, Infinity, 1e999, an integer of 400 digits) are rejected."""
     if path is None:
         return {}
     try:
         doc = json.loads(Path(path).read_text(), parse_float=_finite_number,
-                         parse_constant=_finite_number)
+                         parse_int=_float_sized_int, parse_constant=_finite_number)
     except (ValueError, RecursionError) as exc:  # JSONDecodeError and UnicodeDecodeError too
         raise ConfigError(f"config {path}: not valid JSON ({exc})") from exc
     if not isinstance(doc, dict):
@@ -164,7 +168,8 @@ def cmd_train(args) -> int:
 
 def cmd_infer(args) -> int:
     config = load_config(args.config)
-    gen, *_ = load_checkpoint(args.ckpt, _gen_cfg(config))
+    gen = Generator(_gen_cfg(config))
+    load_checkpoint(args.ckpt, gen)
     manifest = load_manifest(args.manifest)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -312,8 +317,9 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    # ConfigError, ShapeError and JSONDecodeError are ValueErrors; NonFiniteError is arithmetic.
-    except (NetpbmError, CheckpointError, FileNotFoundError, ValueError) as exc:
+    # NetpbmError, CheckpointError and FileNotFoundError are OSErrors; ConfigError, ShapeError
+    # and JSONDecodeError are ValueErrors; NonFiniteError is arithmetic.
+    except (OSError, ValueError) as exc:
         print(f"armsentinel {args.command}: data error: {exc}", file=sys.stderr)
         return DATA_EXIT
     except (ArithmeticError, RuntimeError) as exc:

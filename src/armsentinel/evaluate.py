@@ -111,7 +111,7 @@ def overlap_metrics(pred_mask: ImageBuffer, truth_mask: ImageBuffer) -> dict[str
 
 def predict_mask(gen: Generator, cond_chw: np.ndarray) -> tuple[ImageBuffer, ImageBuffer]:
     """The one inference path: a (C,H,W) unit-interval frame -> (raw, binarized) masks."""
-    out = gen.forward(Tensor(cond_chw[None].astype(np.float32)), mode="infer")
+    out = gen.forward(Tensor(cond_chw[None].astype(np.float32)))
     raw = ImageBuffer(np.clip(np.rint(out.data[0, 0] * 255.0), 0, 255).astype(np.uint8))
     return raw, binarize(raw)
 
@@ -153,8 +153,9 @@ def compare_checkpoints(ckpt_a: str | Path, ckpt_b: str | Path,
     pairs = manifest.load_pairs_unit_interval()
     if not pairs:
         raise ValueError("compare_checkpoints: empty manifest")
-    gen_a, *_ = load_checkpoint(ckpt_a, gen_cfg)
-    gen_b, *_ = load_checkpoint(ckpt_b, gen_cfg)
+    gen_a, gen_b = Generator(gen_cfg), Generator(gen_cfg)
+    load_checkpoint(ckpt_a, gen_a)
+    load_checkpoint(ckpt_b, gen_b)
 
     report = ComparativeReport()
     diff_images: list[tuple[int, ImageBuffer, ImageBuffer]] = []
@@ -192,7 +193,8 @@ def single_arm_probe(ckpt: str | Path, scene_cfg: SceneConfig, count: int,
     """
     if count < 1:
         raise ValueError("single_arm_probe: count must be >= 1")
-    gen, *_ = load_checkpoint(ckpt, gen_cfg)
+    gen = Generator(gen_cfg)
+    load_checkpoint(ckpt, gen)
     report = ComparativeReport()
     for frame in range(count):
         sample = generate_scene(scene_cfg, frame)

@@ -23,7 +23,7 @@ from typing import Callable, Iterable
 import numpy as np
 
 from .evaluate import predict_mask
-from .nets import UNetConfig
+from .nets import Generator, UNetConfig
 from .pipeline import ImageBuffer
 from .train import load_checkpoint
 
@@ -111,7 +111,6 @@ class GuardState:
     mode: str = NOMINAL
     consecutive_breach_count: int = 0
     last_breach_fraction: float = 0.0
-    frames_processed: int = 0
 
 
 def guard_step(state: GuardState, predicted_mask: ImageBuffer,
@@ -129,22 +128,20 @@ def guard_step(state: GuardState, predicted_mask: ImageBuffer,
     outside = int((mask & ~permitted).sum())
     fraction = 0.0 if arm_pixels == 0 else outside / arm_pixels
 
-    frames = state.frames_processed + 1
     if state.mode == OVERRIDE:
-        return (replace(state, last_breach_fraction=fraction,
-                        frames_processed=frames), HALT)
+        return replace(state, last_breach_fraction=fraction), HALT
     if fraction > region.breach_fraction_threshold:
         count = state.consecutive_breach_count + 1
         if count >= region.consecutive_frames_to_override:
-            return (GuardState(OVERRIDE, count, fraction, frames), HALT)
-        return (GuardState(BREACH, count, fraction, frames), PROCEED)
-    return (GuardState(NOMINAL, 0, fraction, frames), PROCEED)
+            return GuardState(OVERRIDE, count, fraction), HALT
+        return GuardState(BREACH, count, fraction), PROCEED
+    return GuardState(NOMINAL, 0, fraction), PROCEED
 
 
 def reset_override(state: GuardState) -> GuardState:
     if state.mode != OVERRIDE:
         raise InterlockError(f"reset_override: state is {state.mode}, not {OVERRIDE}")
-    return GuardState(NOMINAL, 0, 0.0, state.frames_processed)
+    return GuardState()
 
 
 # ---------------------------------------------------------------------------
@@ -152,8 +149,9 @@ def reset_override(state: GuardState) -> GuardState:
 
 
 def make_segmenter(ckpt: str | Path, gen_cfg: UNetConfig) -> Callable[[np.ndarray], ImageBuffer]:
-    """Checkpoint-backed frame -> binary mask callable (infer mode)."""
-    gen, *_ = load_checkpoint(ckpt, gen_cfg)
+    """Checkpoint-backed frame -> binary mask callable."""
+    gen = Generator(gen_cfg)
+    load_checkpoint(ckpt, gen)
     return lambda cond_chw: predict_mask(gen, cond_chw)[1]
 
 
@@ -205,7 +203,7 @@ def guard_run(segmenter: Callable[[np.ndarray], ImageBuffer],
                 state, decision = guard_step(state, mask, region)
                 reason = ("override" if latched else "breach") if decision == HALT else ""
             except Exception as exc:  # fail closed: an error on a frame is a HALT
-                state = replace(state, mode=OVERRIDE, frames_processed=state.frames_processed + 1)
+                state = replace(state, mode=OVERRIDE)
                 decision, reason = HALT, f"error:{type(exc).__name__}"
             ms = (time.perf_counter() - t0) * 1000.0
             if (ms > budget.budget_ms and budget.policy == "abort-frame"

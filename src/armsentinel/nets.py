@@ -112,9 +112,8 @@ class Generator:
         store.conv("out", (1, cfg.base_filters, 1, 1), 1)
         self.store = store
 
-    def forward(self, condition: Tensor, mode: str = "infer", seed: int = 0) -> Tensor:
-        if mode not in ("train", "infer"):
-            raise ValueError(f"generator mode must be 'train' or 'infer', got {mode!r}")
+    def forward(self, condition: Tensor, dropout_seed: int | None = None) -> Tensor:
+        """Inference without a dropout seed; training passes one seed per step."""
         cfg = self.cfg
         if condition.data.ndim != 4 or condition.shape[1] != cfg.in_channels:
             raise ShapeError(f"generator: expected (N, {cfg.in_channels}, H, W) condition, "
@@ -137,8 +136,8 @@ class Generator:
             x = T.conv_transpose2d(x, p[f"dec{j}.weight"], p[f"dec{j}.bias"],
                                    stride=2, padding=1)
             x = T.instance_norm(x, p[f"dec{j}.norm.gain"], p[f"dec{j}.norm.shift"])
-            if j < 2:
-                x = T.dropout(x, cfg.dropout_rate, seed + j, active=(mode == "train"))
+            if j < 2 and dropout_seed is not None:
+                x = T.dropout(x, cfg.dropout_rate, dropout_seed + j)
             x = T.relu(x)
             if j < cfg.depth - 1:
                 x = T.concat([x, skips[cfg.depth - 2 - j]])

@@ -198,6 +198,15 @@ class SceneConfig:
             raise ValueError(f"SceneConfig: arm_count must be 1 or 2, got {self.arm_count}")
         if self.channels not in (1, 3):
             raise ValueError(f"SceneConfig: channels must be 1 or 3, got {self.channels}")
+        for name in ("segment_length_range", "arm_width_range"):
+            lo, hi = getattr(self, name)
+            if not lo <= hi:  # also NaN
+                raise ValueError(f"SceneConfig: {name} needs lo <= hi, got {[lo, hi]}")
+        if self.background_scale < 2:
+            raise ValueError(f"SceneConfig: background_scale must be >= 2, "
+                             f"got {self.background_scale}")
+        if self.seed < 0:
+            raise ValueError(f"SceneConfig: seed must be >= 0, got {self.seed}")
         min_dim = min(self.width, self.height)
         if self.segment_length_range[0] * min_dim < 2 or self.arm_width_range[0] * min_dim < 1:
             raise ValueError("SceneConfig: arms degenerate to zero area")
@@ -244,7 +253,7 @@ def rasterize_arm_masks(cfg: SceneConfig, frame_index: int) -> list[np.ndarray]:
 def _value_noise(cfg: SceneConfig, frame_index: int) -> np.ndarray:
     """Smooth [0,1] texture from a bilinearly upsampled coarse random grid."""
     rng = np.random.default_rng((cfg.seed, 0xB6, frame_index))
-    scale = max(2, cfg.background_scale)
+    scale = cfg.background_scale
     gh = cfg.height // scale + 2
     gw = cfg.width // scale + 2
     grid = rng.random((gh, gw))
@@ -330,6 +339,8 @@ def synth_dataset(cfg: SceneConfig, count: int, out_dir: str | Path,
         raise ValueError(f"synth_dataset: count must be >= 1, got {count}")
     if fmt not in _ENTRY_KEYS:
         raise ValueError(f"synth_dataset: unknown format {fmt!r}")
+    if start_index < 0:
+        raise ValueError(f"synth_dataset: start_index must be >= 0, got {start_index}")
     root = Path(out_dir)
     root.mkdir(parents=True, exist_ok=True)
     from dataclasses import asdict

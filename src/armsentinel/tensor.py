@@ -312,11 +312,11 @@ def abs_(x: Tensor) -> Tensor:
     return _unary(x, np.abs, lambda g, a, o: g * np.sign(a), "abs")
 
 
-def dropout(x: Tensor, rate: float, rng_seed: int, active: bool) -> Tensor:
-    """Inverted dropout; the inactive path returns `x` itself."""
+def dropout(x: Tensor, rate: float, rng_seed: int) -> Tensor:
+    """Inverted dropout; rate 0 returns `x` itself."""
     if not 0.0 <= rate < 1.0:
         raise ValueError(f"dropout: rate must be in [0, 1), got {rate}")
-    if not active or rate == 0.0:
+    if rate == 0.0:
         return x
     rng = np.random.default_rng(rng_seed)
     keep = (rng.random(x.shape) >= rate).astype(x.dtype)

@@ -54,6 +54,8 @@ class TrainConfig:
             raise ValueError(f"TrainConfig: beta1 must be in [0, 1), got {self.beta1}")
         if self.l1_weight < 0:
             raise ValueError("TrainConfig: l1_weight must be >= 0")
+        if self.seed < 0:
+            raise ValueError(f"TrainConfig: seed must be >= 0, got {self.seed}")
 
 
 @dataclass
@@ -128,7 +130,7 @@ def train_step(gen: Generator, disc: Discriminator,
     cond = Tensor(conditions.astype(np.float32))
     real = Tensor(labels.astype(np.float32))
 
-    fake = gen.forward(cond, mode="train", seed=dropout_seed)
+    fake = gen.forward(cond, dropout_seed)
 
     # Discriminator update on real and detached fake.
     disc.store.zero_grad()
@@ -175,10 +177,10 @@ def save_checkpoint(path: str | Path, gen: Generator, disc: Discriminator,
     save_tensors(path, tensors)
 
 
-def load_checkpoint(path: str | Path, gen_cfg: UNetConfig,
-                    disc_cfg: DiscriminatorConfig | None = None,
-                    learning_rate: float = 2e-4, beta1: float = 0.5):
-    """Restore (generator, discriminator, opt states, epoch) from a container."""
+def load_checkpoint(path: str | Path, gen: Generator, disc: Discriminator | None = None,
+                    opt_g: AdamState | None = None, opt_d: AdamState | None = None) -> int:
+    """Fill the objects given, in `save_checkpoint`'s order, from a container;
+    return its epoch."""
     stored = load_tensors(path)
 
     def entry(name: str, shape: tuple[int, ...] | None = None) -> np.ndarray:
@@ -191,10 +193,6 @@ def load_checkpoint(path: str | Path, gen_cfg: UNetConfig,
             raise CheckpointError(f"{path}: {name!r} holds non-finite values")
         return stored[name]
 
-    def load_params(tag: str, net) -> None:
-        for name, p in net.store.params.items():
-            p.data = entry(f"{tag}/{name}", p.data.shape)
-
     def count(name: str) -> int:
         arr = entry(name)
         if arr.size != 1:
@@ -205,58 +203,36 @@ def load_checkpoint(path: str | Path, gen_cfg: UNetConfig,
                                   "non-negative whole number")
         return int(value)
 
-    gen = Generator(gen_cfg, seed=0)
-    load_params("gen", gen)
     epoch = count("meta/epoch")
-    if disc_cfg is None:
-        return gen, None, None, None, epoch
-    disc = Discriminator(disc_cfg, seed=0)
-    load_params("disc", disc)
-    opts = []
-    for tag, net in (("opt_g", gen), ("opt_d", disc)):
-        opt = AdamState(learning_rate=learning_rate, beta1=beta1,
-                        step_count=count(f"{tag}/step"))
-        shapes = [p.data.shape for p in net.store.tensors()]
-        opt.first_moment = [entry(f"{tag}/m{i:03d}", s).copy() for i, s in enumerate(shapes)]
-        opt.second_moment = [entry(f"{tag}/v{i:03d}", s).copy() for i, s in enumerate(shapes)]
-        opts.append(opt)
-    return gen, disc, opts[0], opts[1], epoch
+    for tag, net in (("gen", gen), ("disc", disc)):
+        if net is not None:
+            for name, p in net.store.params.items():
+                p.data = entry(f"{tag}/{name}", p.data.shape)
+    for tag, opt, net in (("opt_g", opt_g, gen), ("opt_d", opt_d, disc)):
+        if opt is not None:
+            opt.step_count = count(f"{tag}/step")
+            shapes = [p.data.shape for p in net.store.tensors()]
+            opt.first_moment = [entry(f"{tag}/m{i:03d}", s).copy() for i, s in enumerate(shapes)]
+            opt.second_moment = [entry(f"{tag}/v{i:03d}", s).copy() for i, s in enumerate(shapes)]
+    return epoch
 
 
-def _load_batch(pairs, indices) -> tuple[np.ndarray, np.ndarray]:
-    conds, labels = [], []
-    for i in indices:
-        cond, label = pairs[i]
-        conds.append(cond)
-        labels.append(label)
-    return np.stack(conds), np.stack(labels)
-
-
-def train(cfg: TrainConfig, gen_cfg: UNetConfig | None = None,
-          disc_cfg: DiscriminatorConfig | None = None,
+def train(cfg: TrainConfig, gen_cfg: UNetConfig, disc_cfg: DiscriminatorConfig,
           resume_from: str | None = None,
           progress: bool = False) -> tuple[list[Path], list[EpochRecord]]:
     """Full training run; returns checkpoint paths and per-epoch records."""
-    gen_cfg = gen_cfg or UNetConfig()
-    disc_cfg = disc_cfg or DiscriminatorConfig(in_channels=gen_cfg.in_channels + 1)
-
-    manifest = load_manifest(cfg.manifest_path)
-    pairs = manifest.load_pairs_unit_interval()
-    if not pairs:
-        raise ValueError(f"train: manifest {cfg.manifest_path} resolves to zero pairs")
+    pairs = load_manifest(cfg.manifest_path).load_pairs_unit_interval()
 
     out_dir = Path(cfg.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 
+    gen = Generator(gen_cfg, seed=cfg.seed)
+    disc = Discriminator(disc_cfg, seed=cfg.seed + 1)
+    opt_g = AdamState(learning_rate=cfg.learning_rate, beta1=cfg.beta1)
+    opt_d = AdamState(learning_rate=cfg.learning_rate, beta1=cfg.beta1)
     start_epoch = 0
     if resume_from is not None:
-        gen, disc, opt_g, opt_d, start_epoch = load_checkpoint(
-            resume_from, gen_cfg, disc_cfg, cfg.learning_rate, cfg.beta1)
-    else:
-        gen = Generator(gen_cfg, seed=cfg.seed)
-        disc = Discriminator(disc_cfg, seed=cfg.seed + 1)
-        opt_g = AdamState(learning_rate=cfg.learning_rate, beta1=cfg.beta1)
-        opt_d = AdamState(learning_rate=cfg.learning_rate, beta1=cfg.beta1)
+        start_epoch = load_checkpoint(resume_from, gen, disc, opt_g, opt_d)
 
     ckpt_epochs = _checkpoint_epochs(cfg.epochs, cfg.checkpoint_every)
     log_path = out_dir / "epochs.csv"
@@ -279,7 +255,8 @@ def train(cfg: TrainConfig, gen_cfg: UNetConfig | None = None,
             steps = 0
             for start in range(0, n, cfg.batch_size):
                 idx = order[start:start + cfg.batch_size]
-                conds, labels = _load_batch(pairs, idx)
+                conds = np.stack([pairs[i][0] for i in idx])
+                labels = np.stack([pairs[i][1] for i in idx])
                 dropout_seed = int(epoch_rng.integers(0, 2**31))
                 try:
                     rec = train_step(gen, disc, conds, labels, opt_g, opt_d,

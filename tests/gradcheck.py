@@ -87,7 +87,7 @@ def _build_instance_norm(shapes, rng):
 def _build_dropout(shapes, rng):
     x = _leaf(rng.standard_normal(shapes[0]))
     seed = int(rng.integers(0, 2**31))
-    return [x], lambda i: T.dropout(i[0], 0.4, seed, active=True)
+    return [x], lambda i: T.dropout(i[0], 0.4, seed)
 
 
 def _build_concat(shapes, rng):

@@ -13,6 +13,7 @@ from armsentinel import cli
 from armsentinel.cli import ConfigError, load_config, main
 from armsentinel.evaluate import predict_mask
 from armsentinel.guard import make_segmenter
+from armsentinel.nets import Generator
 from armsentinel.pipeline import load_manifest, synth_dataset, write_netpbm
 from armsentinel.train import load_checkpoint
 from tests.conftest import SMALL_GEN_CFG, SMALL_SCENE, slowed
@@ -231,8 +232,9 @@ class TestDataErrors:
     @pytest.mark.parametrize("text", ['{"budget": {"budget_ms": Infinity}}',
                                       '{"train": {"learning_rate": NaN}}',
                                       '{"scene": {"arm_width_range": [-Infinity, 0.1]}}',
-                                      '{"budget": {"budget_ms": 1e999}}'],
-                             ids=["Infinity", "NaN", "-Infinity", "overflow"])
+                                      '{"budget": {"budget_ms": 1e999}}',
+                                      '{"budget": {"budget_ms": 1' + '0' * 400 + '}}'],
+                             ids=["Infinity", "NaN", "-Infinity", "overflow", "int-overflow"])
     def test_non_finite_config_number(self, tmp_path, capsys, text):
         cfg = tmp_path / "bad.json"
         cfg.write_text(text)
@@ -242,6 +244,32 @@ class TestDataErrors:
                      "--config", str(cfg)])
         assert code == 2
         assert not (tmp_path / "d").exists()
+
+    @pytest.mark.parametrize("argv, field", [
+        (["train", "--manifest", "{manifest}", "--epochs", "1", "--quiet", "--seed", "-1"],
+         "seed"),
+        (["synth", "--count", "1", "--seed", "-1"], "seed"),
+        (["synth", "--count", "1", "--start", "-1"], "start_index"),
+        (["synth", "--count", "1", "--config", "{config}"], "segment_length_range"),
+    ], ids=["train-seed", "synth-seed", "synth-start", "synth-range"])
+    def test_out_of_range_rejected_before_output(self, tmp_path, capsys, small_run,
+                                                 argv, field):
+        (tmp_path / "range.json").write_text(
+            json.dumps({"scene": {"segment_length_range": [0.1, -2.0]}}))
+        out = tmp_path / "out"
+        argv = [a.format(manifest=small_run["manifest_path"], config=tmp_path / "range.json")
+                for a in argv]
+        assert main(argv + ["--out", str(out)]) == 2
+        assert field in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["infer", "bench"])
+    def test_checkpoint_is_a_directory(self, tmp_path, capsys, small_run, command):
+        code = main([command, "--ckpt", str(tmp_path),
+                     "--manifest", str(small_run["manifest_path"]),
+                     "--out", str(tmp_path / "out"), "--config", small_config(tmp_path)])
+        assert code == 2
+        assert "data error" in capsys.readouterr().err
 
 
 class TestBench:
@@ -332,7 +360,8 @@ class TestEndToEnd:
         assert main(["infer", "--ckpt", final, "--manifest", manifest,
                      "--out", str(tmp_path / "preds"), "--config", cfg]) == 0
         # infer, guard and eval share one inference path.
-        gen, *_ = load_checkpoint(final, SMALL_GEN_CFG)
+        gen = Generator(SMALL_GEN_CFG)
+        load_checkpoint(final, gen)
         cond = load_manifest(manifest).load_pairs_unit_interval()[0][0]
         raw, binary = predict_mask(gen, cond)
         write_netpbm(raw, tmp_path / "expected.pgm")

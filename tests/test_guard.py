@@ -44,7 +44,6 @@ class TestGuardStep:
             assert decision == PROCEED
             assert state.mode == NOMINAL
             assert state.consecutive_breach_count == 0
-        assert state.frames_processed == 5
 
     def test_two_frame_debounce_fires_on_second(self, region):
         state = GuardState()
@@ -103,7 +102,6 @@ class TestResetOverride:
         state = reset_override(state)
         assert state.mode == NOMINAL
         assert state.consecutive_breach_count == 0
-        assert state.frames_processed == 2
         # The interlock must re-arm after a reset.
         for _ in range(2):
             state, decision = guard_step(state, mask_of(0.05, region), region)

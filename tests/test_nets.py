@@ -78,15 +78,15 @@ class TestGeneratorForward:
     def test_infer_mode_deterministic(self):
         gen = Generator(UNetConfig(), seed=0)
         x = rand_input((1, 3, 32, 32), seed=1)
-        a = gen.forward(x, mode="infer", seed=1)
-        b = gen.forward(x, mode="infer", seed=2)
+        a = gen.forward(x)
+        b = gen.forward(x)
         assert np.array_equal(a.data, b.data)
 
     def test_train_mode_seeds_differ(self):
         gen = Generator(UNetConfig(), seed=0)
         x = rand_input((1, 3, 32, 32), seed=1)
-        a = gen.forward(x, mode="train", seed=1)
-        b = gen.forward(x, mode="train", seed=2)
+        a = gen.forward(x, dropout_seed=1)
+        b = gen.forward(x, dropout_seed=2)
         assert not np.array_equal(a.data, b.data)
 
     def test_divisibility_error_names_multiple(self):
@@ -110,7 +110,7 @@ class TestGeneratorForward:
         gen.store.params["dec0.weight"].data[...] = 0.0
         x = Tensor(np.random.default_rng(9).random((1, 3, 16, 16)).astype(np.float32),
                    requires_grad=True)
-        out = gen.forward(x, mode="infer")
+        out = gen.forward(x)
         T.mean(out).backward()
         assert np.abs(x.grad).max() > 0.0
 

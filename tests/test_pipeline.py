@@ -221,9 +221,16 @@ class TestSceneGenerator:
         inter = (m0 & m1).sum()
         assert inter / max(m0.sum(), m1.sum()) > 0.7
 
-    def test_degenerate_config_rejected(self):
-        with pytest.raises(ValueError, match="degenerate"):
-            SceneConfig(arm_width_range=(0.0, 0.001))
+    @pytest.mark.parametrize("fields, match", [
+        ({"arm_width_range": (0.0, 0.001)}, "degenerate"),
+        ({"segment_length_range": (0.1, -2.0)}, "segment_length_range"),
+        ({"arm_width_range": (0.2, 0.1)}, "arm_width_range"),
+        ({"background_scale": 0}, "background_scale"),
+        ({"background_scale": -4}, "background_scale"),
+    ], ids=["zero-area", "segment-reversed", "width-reversed", "scale-zero", "scale-negative"])
+    def test_degenerate_config_rejected(self, fields, match):
+        with pytest.raises(ValueError, match=match):
+            SceneConfig(**fields)
 
     def test_scene_bytes_pinned(self):
         # Pins the exact scene bytes, so a rewrite of the rasterizer or the

@@ -120,27 +120,24 @@ class TestElementwise:
 
     def test_dropout_inactive_is_identity(self):
         x = t(np.random.default_rng(1).standard_normal((3, 5)))
-        out = T.dropout(x, 0.5, rng_seed=42, active=False)
-        assert np.array_equal(out.data, x.data)
-        assert out is x
-        assert T.dropout(x, 0.0, rng_seed=42, active=True) is x
+        assert T.dropout(x, 0.0, rng_seed=42) is x
 
     def test_dropout_active_scales_survivors(self):
         x = t(np.ones((100, 100)))
-        out = T.dropout(x, 0.5, rng_seed=7, active=True)
+        out = T.dropout(x, 0.5, rng_seed=7)
         survivors = out.data[out.data != 0]
         assert np.allclose(survivors, 2.0)
         assert 0.4 < (out.data != 0).mean() < 0.6
 
     def test_dropout_deterministic_for_seed(self):
         x = t(np.random.default_rng(2).standard_normal((8, 8)))
-        a = T.dropout(x, 0.3, rng_seed=9, active=True)
-        b = T.dropout(x, 0.3, rng_seed=9, active=True)
+        a = T.dropout(x, 0.3, rng_seed=9)
+        b = T.dropout(x, 0.3, rng_seed=9)
         assert np.array_equal(a.data, b.data)
 
     def test_dropout_rate_one_rejected(self):
         with pytest.raises(ValueError, match="rate"):
-            T.dropout(t([1.0]), 1.0, 0, True)
+            T.dropout(t([1.0]), 1.0, 0)
 
     def test_total_and_mean_check_finite(self):
         big = Tensor(np.full(4, 3e38, dtype=np.float32))

@@ -152,7 +152,7 @@ class TestTrainStep:
         disc = Discriminator(DISC_CFG, seed=1)
         conds, labels = self.batch()
         cond_t = Tensor(conds)
-        fake = gen.forward(cond_t, mode="train", seed=3)
+        fake = gen.forward(cond_t, dropout_seed=3)
         gen.store.zero_grad()
         d_real = disc.forward(cond_t, Tensor(labels))
         d_fake = disc.forward(cond_t, fake.detach())
@@ -260,8 +260,9 @@ class TestCheckpointIO:
         a = tmp_path / "a.bin"
         b = tmp_path / "b.bin"
         save_checkpoint(a, gen, disc, opt_g, opt_d, epoch=3)
-        gen2, disc2, og2, od2, epoch = load_checkpoint(a, GEN_CFG, DISC_CFG)
-        assert epoch == 3
+        gen2, disc2 = Generator(GEN_CFG), Discriminator(DISC_CFG)
+        og2, od2 = AdamState(2e-4, 0.5), AdamState(2e-4, 0.5)
+        assert load_checkpoint(a, gen2, disc2, og2, od2) == 3
         save_checkpoint(b, gen2, disc2, og2, od2, epoch=3)
         assert a.read_bytes() == b.read_bytes()
 
@@ -271,4 +272,4 @@ class TestCheckpointIO:
         path = tmp_path / "c.bin"
         save_checkpoint(path, gen, disc, AdamState(), AdamState(), epoch=1)
         with pytest.raises(CheckpointError, match="gen/enc0.weight"):
-            load_checkpoint(path, UNetConfig(base_filters=8, depth=3))
+            load_checkpoint(path, Generator(UNetConfig(base_filters=8, depth=3)))
