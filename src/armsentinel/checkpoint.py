@@ -35,12 +35,14 @@ def save_tensors(path: str | Path, tensors: dict[str, np.ndarray]) -> None:
 
 
 def load_tensors(path: str | Path) -> dict[str, np.ndarray]:
-    raw = Path(path).read_bytes()
-    if raw[:8] != MAGIC:
-        raise CheckpointError(f"{path}: bad magic {raw[:8]!r}, expected {MAGIC!r}")
+    """Named tensors as read-only views into the one copy of the file's bytes."""
+    data = Path(path).read_bytes()
+    if data[:8] != MAGIC:
+        raise CheckpointError(f"{path}: bad magic {data[:8]!r}, expected {MAGIC!r}")
+    raw = memoryview(data)  # slices of a memoryview copy nothing
     pos = 8
 
-    def take(n: int) -> bytes:
+    def take(n: int) -> memoryview:
         nonlocal pos
         if pos + n > len(raw):
             raise CheckpointError(f"{path}: truncated at byte {pos} (need {n} more)")
@@ -53,7 +55,7 @@ def load_tensors(path: str | Path) -> dict[str, np.ndarray]:
     for _ in range(count):
         (name_len,) = struct.unpack("<I", take(4))
         try:
-            name = take(name_len).decode("utf-8")
+            name = str(take(name_len), "utf-8")
         except UnicodeDecodeError as exc:
             raise CheckpointError(f"{path}: tensor name is not UTF-8 ({exc})") from exc
         if name in tensors:
@@ -62,7 +64,7 @@ def load_tensors(path: str | Path) -> dict[str, np.ndarray]:
         dims = struct.unpack(f"<{rank}I", take(4 * rank))
         payload = take(4 * math.prod(dims))  # exact: np.prod wraps at 2**63
         try:
-            tensors[name] = np.frombuffer(payload, dtype="<f4").reshape(dims).copy()
+            tensors[name] = np.frombuffer(payload, dtype="<f4").reshape(dims)
         except ValueError as exc:  # an empty shape whose other dims overflow
             raise CheckpointError(f"{path}: unusable dims {dims} ({exc})") from exc
     if pos != len(raw):

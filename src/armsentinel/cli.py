@@ -144,6 +144,7 @@ def cmd_synth(args) -> int:
 
 
 def cmd_prepare(args) -> int:
+    load_config(args.config)  # no section applies, but a bad file is still an error
     manifest = build_manifest(args.dir, pattern=args.pattern, fmt=args.format)
     path = manifest.save()
     print(f"prepare: manifest with {manifest.count} entries at {path}")
@@ -180,6 +181,8 @@ def cmd_infer(args) -> int:
 
 
 def cmd_eval(args) -> int:
+    if args.assert_ratio is not None and math.isnan(args.assert_ratio):
+        raise ValueError("eval: --assert-ratio must be a number, got nan")
     config = load_config(args.config)
     manifest = load_manifest(args.manifest)
     report = compare_checkpoints(args.ckpt_baseline, args.ckpt, manifest,

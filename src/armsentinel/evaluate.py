@@ -7,6 +7,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -116,28 +117,50 @@ def predict_mask(gen: Generator, cond_chw: np.ndarray) -> tuple[ImageBuffer, Ima
     return raw, binarize(raw)
 
 
-def _score(gen: Generator, cond_chw: np.ndarray, truth: ImageBuffer,
-           truth_bin: ImageBuffer) -> tuple[ImageBuffer, ImageBuffer, float]:
-    """Predict one frame: (binary mask, its diff to `truth_bin`, raw-vs-`truth` MAE)."""
-    raw, binary = predict_mask(gen, cond_chw)
-    mae = float(np.abs(raw.gray().astype(np.float64) - truth.gray().astype(np.float64)).mean())
-    return binary, subtract(binary, truth_bin), mae
+def _evaluate(gens: tuple[Generator, ...],
+              samples: Iterable[tuple[np.ndarray, ImageBuffer]],
+              out_dir: str | Path | None, sample_diffs: int) -> ComparativeReport:
+    """The one per-frame pass over `(condition (C,H,W), truth)` samples: column
+    a is scored with the first generator, column b and the overlap with the
+    last.  `out_dir` gets the report files and the first `sample_diffs`
+    frames' diff images."""
+    report = ComparativeReport()
+    diff_images: list[tuple[int, ImageBuffer, ImageBuffer]] = []
+    for frame, (cond, truth) in enumerate(samples):
+        truth_bin, truth_gray = binarize(truth), truth.gray().astype(np.float64)
+        scored = []
+        for gen in gens:
+            raw, binary = predict_mask(gen, cond)
+            mae = float(np.abs(raw.gray() - truth_gray).mean())
+            scored.append((binary, subtract(binary, truth_bin), mae))
+        (_, diff_a, mae_a), (bin_b, diff_b, mae_b) = scored[0], scored[-1]
+        ov = overlap_metrics(bin_b, truth_bin)
+        report.rows.append(FrameRow(frame, nonzero_count(diff_a), nonzero_count(diff_b),
+                                    mae_a, mae_b, ov["iou"], ov["dice"]))
+        report.histogram_a += histogram(diff_a)
+        report.histogram_b += histogram(diff_b)
+        if frame < sample_diffs:
+            diff_images.append((frame, diff_a, diff_b))
 
-
-def _write_report(report: ComparativeReport, out_dir: Path) -> None:
-    out_dir.mkdir(parents=True, exist_ok=True)
-    with open(out_dir / "report.csv", "w", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(REPORT_HEADER)
-        for r in report.rows:
-            w.writerow([r.frame, r.nonzero_a, r.nonzero_b,
-                        repr(r.mae_a), repr(r.mae_b), repr(r.iou_b), repr(r.dice_b)])
-    with open(out_dir / "histogram.csv", "w", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(["value", "count_a", "count_b"])
-        for v in range(256):
-            w.writerow([v, int(report.histogram_a[v]), int(report.histogram_b[v])])
-    (out_dir / "summary.json").write_text(json.dumps(report.summary(), indent=2) + "\n")
+    if out_dir is not None:
+        out_dir = Path(out_dir)
+        out_dir.mkdir(parents=True, exist_ok=True)
+        with open(out_dir / "report.csv", "w", newline="") as f:
+            w = csv.writer(f)
+            w.writerow(REPORT_HEADER)
+            for r in report.rows:
+                w.writerow([r.frame, r.nonzero_a, r.nonzero_b,
+                            repr(r.mae_a), repr(r.mae_b), repr(r.iou_b), repr(r.dice_b)])
+        with open(out_dir / "histogram.csv", "w", newline="") as f:
+            w = csv.writer(f)
+            w.writerow(["value", "count_a", "count_b"])
+            for v in range(256):
+                w.writerow([v, int(report.histogram_a[v]), int(report.histogram_b[v])])
+        (out_dir / "summary.json").write_text(json.dumps(report.summary(), indent=2) + "\n")
+        for frame, da, db in diff_images:
+            write_netpbm(da, out_dir / f"diff_a_{frame:05d}.pgm")
+            write_netpbm(db, out_dir / f"diff_b_{frame:05d}.pgm")
+    return report
 
 
 def compare_checkpoints(ckpt_a: str | Path, ckpt_b: str | Path,
@@ -156,29 +179,9 @@ def compare_checkpoints(ckpt_a: str | Path, ckpt_b: str | Path,
     gen_a, gen_b = Generator(gen_cfg), Generator(gen_cfg)
     load_checkpoint(ckpt_a, gen_a)
     load_checkpoint(ckpt_b, gen_b)
-
-    report = ComparativeReport()
-    diff_images: list[tuple[int, ImageBuffer, ImageBuffer]] = []
-    for frame, (cond, label) in enumerate(pairs):
-        truth = ImageBuffer(np.rint(label[0] * 255.0).astype(np.uint8))
-        truth_bin = binarize(truth)
-        _, diff_a, mae_a = _score(gen_a, cond, truth, truth_bin)
-        bin_b, diff_b, mae_b = _score(gen_b, cond, truth, truth_bin)
-        ov = overlap_metrics(bin_b, truth_bin)
-        report.rows.append(FrameRow(frame, nonzero_count(diff_a), nonzero_count(diff_b),
-                                    mae_a, mae_b, ov["iou"], ov["dice"]))
-        report.histogram_a += histogram(diff_a)
-        report.histogram_b += histogram(diff_b)
-        if frame < SAMPLE_DIFFS:
-            diff_images.append((frame, diff_a, diff_b))
-
-    if out_dir is not None:
-        out_dir = Path(out_dir)
-        _write_report(report, out_dir)
-        for frame, da, db in diff_images:
-            write_netpbm(da, out_dir / f"diff_a_{frame:05d}.pgm")
-            write_netpbm(db, out_dir / f"diff_b_{frame:05d}.pgm")
-    return report
+    samples = ((cond, ImageBuffer(np.rint(label[0] * 255.0).astype(np.uint8)))
+               for cond, label in pairs)
+    return _evaluate((gen_a, gen_b), samples, out_dir, SAMPLE_DIFFS)
 
 
 def single_arm_probe(ckpt: str | Path, scene_cfg: SceneConfig, count: int,
@@ -195,18 +198,5 @@ def single_arm_probe(ckpt: str | Path, scene_cfg: SceneConfig, count: int,
         raise ValueError("single_arm_probe: count must be >= 1")
     gen = Generator(gen_cfg)
     load_checkpoint(ckpt, gen)
-    report = ComparativeReport()
-    for frame in range(count):
-        sample = generate_scene(scene_cfg, frame)
-        cond = sample.condition.unit_chw()
-        truth_bin = binarize(sample.label)
-        pred_bin, diff, mae = _score(gen, cond, sample.label, truth_bin)
-        ov = overlap_metrics(pred_bin, truth_bin)
-        report.rows.append(FrameRow(frame, nonzero_count(diff), nonzero_count(diff),
-                                    mae, mae, ov["iou"], ov["dice"]))
-        bins = histogram(diff)
-        report.histogram_a += bins
-        report.histogram_b += bins
-    if out_dir is not None:
-        _write_report(report, Path(out_dir))
-    return report
+    scenes = (generate_scene(scene_cfg, frame) for frame in range(count))
+    return _evaluate((gen,), ((s.condition.unit_chw(), s.label) for s in scenes), out_dir, 0)

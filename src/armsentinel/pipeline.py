@@ -41,7 +41,7 @@ class ImageBuffer:
             arr = arr[:, :, None]
         if arr.ndim != 3 or arr.shape[2] not in (1, 3):
             raise ValueError(f"ImageBuffer: need (H, W, 1|3) array, got shape {arr.shape}")
-        self.pixels = arr.astype(np.uint8)
+        self.pixels = arr.astype(np.uint8)  # always a copy: no caller's array is shared
 
     @property
     def height(self) -> int:
@@ -137,7 +137,7 @@ def read_netpbm(path: str | Path) -> ImageBuffer:
     if len(payload) < expected:
         raise NetpbmError(f"{path}: truncated payload, {len(payload)} of {expected} bytes")
     pixels = np.frombuffer(payload, dtype=np.uint8).reshape(height, width, channels)
-    return ImageBuffer(pixels.copy())
+    return ImageBuffer(pixels)
 
 
 def write_netpbm(img: ImageBuffer, path: str | Path) -> None:
@@ -172,8 +172,7 @@ def split_pair(stitched: ImageBuffer) -> tuple[ImageBuffer, ImageBuffer]:
     if stitched.width % 2:
         raise ValueError(f"split_pair: odd width {stitched.width}")
     half = stitched.width // 2
-    return (ImageBuffer(stitched.pixels[:, :half].copy()),
-            ImageBuffer(stitched.pixels[:, half:].copy()))
+    return ImageBuffer(stitched.pixels[:, :half]), ImageBuffer(stitched.pixels[:, half:])
 
 
 # ---------------------------------------------------------------------------
@@ -311,8 +310,8 @@ class DatasetManifest:
     def count(self) -> int:
         return len(self.entries)
 
-    def save(self, path: str | Path | None = None) -> Path:
-        path = Path(path) if path else self.root / "manifest.json"
+    def save(self) -> Path:
+        path = self.root / "manifest.json"
         doc = {"format": self.format, "count": self.count, "entries": self.entries,
                "seed": self.seed, "scene_config": self.scene_config}
         path.write_text(json.dumps(doc, indent=2) + "\n")

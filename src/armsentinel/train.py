@@ -180,7 +180,7 @@ def save_checkpoint(path: str | Path, gen: Generator, disc: Discriminator,
 def load_checkpoint(path: str | Path, gen: Generator, disc: Discriminator | None = None,
                     opt_g: AdamState | None = None, opt_d: AdamState | None = None) -> int:
     """Fill the objects given, in `save_checkpoint`'s order, from a container;
-    return its epoch."""
+    return its epoch.  Parameters are filled in place."""
     stored = load_tensors(path)
 
     def entry(name: str, shape: tuple[int, ...] | None = None) -> np.ndarray:
@@ -207,7 +207,7 @@ def load_checkpoint(path: str | Path, gen: Generator, disc: Discriminator | None
     for tag, net in (("gen", gen), ("disc", disc)):
         if net is not None:
             for name, p in net.store.params.items():
-                p.data = entry(f"{tag}/{name}", p.data.shape)
+                p.data[...] = entry(f"{tag}/{name}", p.data.shape)
     for tag, opt, net in (("opt_g", opt_g, gen), ("opt_d", opt_d, disc)):
         if opt is not None:
             opt.step_count = count(f"{tag}/step")
@@ -223,9 +223,6 @@ def train(cfg: TrainConfig, gen_cfg: UNetConfig, disc_cfg: DiscriminatorConfig,
     """Full training run; returns checkpoint paths and per-epoch records."""
     pairs = load_manifest(cfg.manifest_path).load_pairs_unit_interval()
 
-    out_dir = Path(cfg.output_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-
     gen = Generator(gen_cfg, seed=cfg.seed)
     disc = Discriminator(disc_cfg, seed=cfg.seed + 1)
     opt_g = AdamState(learning_rate=cfg.learning_rate, beta1=cfg.beta1)
@@ -233,6 +230,8 @@ def train(cfg: TrainConfig, gen_cfg: UNetConfig, disc_cfg: DiscriminatorConfig,
     start_epoch = 0
     if resume_from is not None:
         start_epoch = load_checkpoint(resume_from, gen, disc, opt_g, opt_d)
+    out_dir = Path(cfg.output_dir)  # made only once a resume checkpoint has loaded
+    out_dir.mkdir(parents=True, exist_ok=True)
 
     ckpt_epochs = _checkpoint_epochs(cfg.epochs, cfg.checkpoint_every)
     log_path = out_dir / "epochs.csv"

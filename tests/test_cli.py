@@ -153,7 +153,8 @@ class TestDataErrors:
         tensors = load_tensors(small_run["final_ckpt"])
         if edit == "drop":
             del tensors["gen/enc0.weight"]
-        else:
+        else:  # loaded entries are read-only views
+            tensors["gen/enc0.weight"] = tensors["gen/enc0.weight"].copy()
             tensors["gen/enc0.weight"].flat[5] = np.nan
         bad = tmp_path / "bad.bin"
         save_tensors(bad, tensors)
@@ -174,6 +175,40 @@ class TestDataErrors:
         assert code == 2
         assert "label_00000.pgm" in capsys.readouterr().err
         assert not (data / "manifest.json").exists()
+
+    def test_prepare_reads_config(self, tmp_path, capsys):
+        data = tmp_path / "data"
+        synth_dataset(SMALL_SCENE, 2, data)
+        (data / "manifest.json").unlink()
+        cfg = tmp_path / "bad.json"
+        cfg.write_text(json.dumps({"scenery": {}}))
+        code = main(["prepare", "--dir", str(data), "--config", str(cfg)])
+        assert code == 2
+        assert "unknown section" in capsys.readouterr().err
+        assert not (data / "manifest.json").exists()
+
+    def test_bad_resume_makes_no_output_dir(self, tmp_path, capsys, small_run):
+        junk = tmp_path / "junk.bin"
+        junk.write_bytes(b"junk")
+        out = tmp_path / "newrun"
+        code = main(["train", "--manifest", str(small_run["manifest_path"]),
+                     "--out", str(out), "--epochs", "5", "--resume", str(junk),
+                     "--quiet", "--config", small_config(tmp_path)])
+        assert code == 2
+        assert "bad magic" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_nan_assert_ratio_rejected(self, tmp_path, capsys, small_run):
+        cfg = small_config(tmp_path)
+        out = tmp_path / "eval"
+        args = ["eval", "--ckpt-baseline", str(small_run["final_ckpt"]),
+                "--ckpt", str(small_run["first_ckpt"]),
+                "--manifest", str(small_run["manifest_path"]), "--config", cfg]
+        assert main(args + ["--out", str(out), "--assert-ratio", "nan"]) == 2
+        assert "--assert-ratio" in capsys.readouterr().err
+        assert not out.exists()
+        # inf is a legal threshold: only a perfect model meets it.
+        assert main(args + ["--assert-ratio", "inf"]) == 4
 
     @pytest.mark.parametrize("entry", ["opt_g/step", "opt_d/v003"])
     def test_resume_missing_optimizer_entry(self, tmp_path, capsys, small_run, entry):

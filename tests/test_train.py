@@ -1,11 +1,12 @@
 import hashlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from armsentinel import tensor as T
-from armsentinel.checkpoint import CheckpointError
+from armsentinel.checkpoint import CheckpointError, load_tensors
 from armsentinel.nets import Discriminator, DiscriminatorConfig, Generator, UNetConfig
 from armsentinel.optim import AdamState
 from armsentinel.pipeline import SceneConfig, synth_dataset
@@ -273,3 +274,25 @@ class TestCheckpointIO:
         save_checkpoint(path, gen, disc, AdamState(), AdamState(), epoch=1)
         with pytest.raises(CheckpointError, match="gen/enc0.weight"):
             load_checkpoint(path, Generator(UNetConfig(base_filters=8, depth=3)))
+
+    def test_generator_only_load_holds_one_copy(self, tmp_path):
+        gen, disc = Generator(UNetConfig(), seed=0), Discriminator(DiscriminatorConfig(), seed=1)
+        opts = [AdamState(step_count=3), AdamState(step_count=3)]
+        for opt, net in zip(opts, (gen, disc)):
+            opt._ensure_moments(net.store.tensors())
+        path = tmp_path / "full.bin"
+        save_checkpoint(path, gen, disc, *opts, epoch=2)
+        assert not any(arr.flags.writeable for arr in load_tensors(path).values())
+
+        target = Generator(UNetConfig(), seed=5)
+        tracemalloc.start()
+        try:
+            assert load_checkpoint(path, target) == 2
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # The file's bytes once, plus temporaries no larger than one entry.
+        assert peak <= 1.25 * path.stat().st_size
+        for name, p in target.store.params.items():
+            assert p.data.flags.writeable
+            assert np.array_equal(p.data, gen.store.params[name].data)
