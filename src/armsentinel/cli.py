@@ -19,10 +19,10 @@ import numpy as np
 
 from .evaluate import compare_checkpoints, predict_mask, single_arm_probe
 from .guard import LatencyBudget, LatencyReport, SafeRegion, guard_run, make_segmenter
-from .nets import DiscriminatorConfig, Generator, UNetConfig
+from .nets import DiscriminatorConfig, UNetConfig
 from .pipeline import (ImageBuffer, SceneConfig, build_manifest, load_manifest, synth_dataset,
                        write_netpbm)
-from .train import TrainConfig, load_checkpoint, train
+from .train import TrainConfig, load_generator, train
 
 USAGE_EXIT = 1
 DATA_EXIT = 2
@@ -146,6 +146,12 @@ def cmd_synth(args) -> int:
 def cmd_prepare(args) -> int:
     load_config(args.config)  # no section applies, but a bad file is still an error
     manifest = build_manifest(args.dir, pattern=args.pattern, fmt=args.format)
+    try:  # keep the provenance `synth` recorded in the manifest being replaced
+        previous = load_manifest(manifest.root / "manifest.json")
+    except (OSError, ValueError):
+        pass
+    else:
+        manifest.seed, manifest.scene_config = previous.seed, previous.scene_config
     path = manifest.save()
     print(f"prepare: manifest with {manifest.count} entries at {path}")
     return 0
@@ -169,8 +175,7 @@ def cmd_train(args) -> int:
 
 def cmd_infer(args) -> int:
     config = load_config(args.config)
-    gen = Generator(_gen_cfg(config))
-    load_checkpoint(args.ckpt, gen)
+    gen = load_generator(args.ckpt, _gen_cfg(config))
     manifest = load_manifest(args.manifest)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)

@@ -16,7 +16,7 @@ import numpy as np
 from .nets import Generator, UNetConfig
 from .pipeline import DatasetManifest, ImageBuffer, SceneConfig, generate_scene, write_netpbm
 from .tensor import Tensor
-from .train import load_checkpoint
+from .train import load_generator
 
 SAMPLE_DIFFS = 4
 REPORT_HEADER = ["frame", "nonzero_a", "nonzero_b", "mae_a", "mae_b", "iou_b", "dice_b"]
@@ -176,9 +176,7 @@ def compare_checkpoints(ckpt_a: str | Path, ckpt_b: str | Path,
     pairs = manifest.load_pairs_unit_interval()
     if not pairs:
         raise ValueError("compare_checkpoints: empty manifest")
-    gen_a, gen_b = Generator(gen_cfg), Generator(gen_cfg)
-    load_checkpoint(ckpt_a, gen_a)
-    load_checkpoint(ckpt_b, gen_b)
+    gen_a, gen_b = load_generator(ckpt_a, gen_cfg), load_generator(ckpt_b, gen_cfg)
     samples = ((cond, ImageBuffer(np.rint(label[0] * 255.0).astype(np.uint8)))
                for cond, label in pairs)
     return _evaluate((gen_a, gen_b), samples, out_dir, SAMPLE_DIFFS)
@@ -196,7 +194,6 @@ def single_arm_probe(ckpt: str | Path, scene_cfg: SceneConfig, count: int,
     """
     if count < 1:
         raise ValueError("single_arm_probe: count must be >= 1")
-    gen = Generator(gen_cfg)
-    load_checkpoint(ckpt, gen)
+    gen = load_generator(ckpt, gen_cfg)
     scenes = (generate_scene(scene_cfg, frame) for frame in range(count))
     return _evaluate((gen,), ((s.condition.unit_chw(), s.label) for s in scenes), out_dir, 0)

@@ -23,9 +23,9 @@ from typing import Callable, Iterable
 import numpy as np
 
 from .evaluate import predict_mask
-from .nets import Generator, UNetConfig
+from .nets import UNetConfig
 from .pipeline import ImageBuffer
-from .train import load_checkpoint
+from .train import load_generator
 
 NOMINAL = "NOMINAL"
 BREACH = "BREACH"
@@ -150,8 +150,7 @@ def reset_override(state: GuardState) -> GuardState:
 
 def make_segmenter(ckpt: str | Path, gen_cfg: UNetConfig) -> Callable[[np.ndarray], ImageBuffer]:
     """Checkpoint-backed frame -> binary mask callable."""
-    gen = Generator(gen_cfg)
-    load_checkpoint(ckpt, gen)
+    gen = load_generator(ckpt, gen_cfg)
     return lambda cond_chw: predict_mask(gen, cond_chw)[1]
 
 

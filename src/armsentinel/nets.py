@@ -57,14 +57,18 @@ class DiscriminatorConfig:
 
 
 class _ParamStore:
-    """Named parameter tensors in stable insertion order."""
+    """Named parameter tensors in stable insertion order.  Seed None leaves
+    the conv weights zero, for a checkpoint to fill."""
 
-    def __init__(self, seed: int):
+    def __init__(self, seed: int | None):
         self.params: dict[str, Tensor] = {}
-        self._rng = np.random.default_rng(seed)
+        self._rng = None if seed is None else np.random.default_rng(seed)
 
     def conv(self, name: str, shape: tuple, out_channels: int) -> None:
-        w = self._rng.normal(0.0, INIT_STD, shape).astype(np.float32)
+        if self._rng is None:
+            w = np.zeros(shape, dtype=np.float32)
+        else:
+            w = self._rng.normal(0.0, INIT_STD, shape).astype(np.float32)
         self.params[f"{name}.weight"] = Tensor(w, requires_grad=True)
         self.params[f"{name}.bias"] = Tensor(np.zeros(out_channels, dtype=np.float32),
                                              requires_grad=True)
@@ -90,9 +94,10 @@ class _ParamStore:
 
 
 class Generator:
-    """Encoder-decoder with skip concatenation between mirrored stages."""
+    """Encoder-decoder with skip concatenation between mirrored stages.
+    `seed=None` draws no weights; `train.load_generator` fills them."""
 
-    def __init__(self, cfg: UNetConfig, seed: int = 0):
+    def __init__(self, cfg: UNetConfig, seed: int | None = 0):
         self.cfg = cfg
         store = _ParamStore(seed)
         d = cfg.depth

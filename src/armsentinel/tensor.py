@@ -165,33 +165,64 @@ class Tensor:
 # convolution: conv2d and conv_transpose2d share one adjoint pair of lowerings
 
 
-def _gather(x: np.ndarray, kernel: np.ndarray, stride: int, padding: int,
-            ho: int, wo: int) -> tuple[np.ndarray, np.ndarray]:
-    """Contract the strided (N, C, K, K, Ho, Wo) patches of padded `x` with
-    kernel axis 1; returns the C-contiguous NCHW result and the patches."""
+def _im2col(x: np.ndarray, k: int, stride: int, padding: int,
+            ho: int, wo: int) -> np.ndarray:
+    """The (N*Ho*Wo, C*K*K) patch matrix of `x` padded by `padding`: row
+    (n, i, j) holds the K x K windows at (i*stride, j*stride), channel-major.
+
+    The matrix is the (N, Ho, Wo, C, K, K) strided view reshaped.  That
+    reshape can return a view, which the GEMM reads in the view's layout,
+    only when K == 1 or Wo == 1, so those cases keep it.  Otherwise it must
+    copy, and the copy here moves each run of K pixels of a window row as
+    one element: the same bytes in K times fewer moves."""
     if padding:
         x = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
-    k = kernel.shape[2]
+    n, c = x.shape[:2]
+    if k == 1 or wo == 1:
+        sn, sc, sh, sw = x.strides
+        patches = np.lib.stride_tricks.as_strided(
+            x, (n, ho, wo, c, k, k), (sn, sh * stride, sw * stride, sc, sh, sw), writeable=False)
+        return patches.reshape(n * ho * wo, c * k * k)
+    x = np.ascontiguousarray(x)
     sn, sc, sh, sw = x.strides
-    patches = np.lib.stride_tricks.as_strided(
-        x, x.shape[:2] + (k, k, ho, wo), (sn, sc, sh, sw, sh * stride, sw * stride),
-        writeable=False)
-    out = np.tensordot(patches, kernel, axes=([1, 2, 3], [1, 2, 3]))  # (N,Ho,Wo,O)
-    return np.ascontiguousarray(out.transpose(0, 3, 1, 2)), patches
+    runs = np.ndarray((n, ho, wo, c, k), np.dtype((np.void, k * x.itemsize)), x, 0,
+                      (sn, sh * stride, sw * stride, sc, sh))
+    return np.ascontiguousarray(runs).view(x.dtype).reshape(n * ho * wo, c * k * k)
+
+
+def _gather(cols: np.ndarray, kernel: np.ndarray, n: int, ho: int, wo: int) -> np.ndarray:
+    """Contract an `_im2col` matrix with kernel axis 1; returns C-contiguous NCHW."""
+    out = np.dot(cols, kernel.reshape(kernel.shape[0], -1).T).reshape(n, ho, wo, -1)
+    return np.ascontiguousarray(out.transpose(0, 3, 1, 2))
+
+
+def _kernel_grad(a: np.ndarray, cols: np.ndarray, shape: tuple) -> np.ndarray:
+    """Contract NCHW `a` with the `_im2col` matrix of the other operand over
+    batch and pixels; `a`'s channels become kernel axis 0."""
+    return np.dot(a.transpose(1, 0, 2, 3).reshape(a.shape[1], -1), cols).reshape(shape)
 
 
 def _scatter(x: np.ndarray, kernel: np.ndarray, stride: int, padding: int,
              ho: int, wo: int) -> np.ndarray:
     """Adjoint of `_gather`: contract `x` with kernel axis 0, overlap-add the
-    taps in `x.dtype`, then crop `padding`; returns an NCHW view."""
-    n, _, h, w = x.shape
-    k = kernel.shape[2]
-    cols = np.tensordot(x, kernel, axes=([1], [0])).transpose(0, 3, 4, 5, 1, 2)  # (N,O,K,K,H,W)
-    full = np.zeros((n, cols.shape[1], ho + 2 * padding, wo + 2 * padding), dtype=x.dtype)
+    taps into an NHWC buffer in `x.dtype`, then crop `padding`; returns an
+    NCHW view.  With more pixels than input channels each tap is one GEMM
+    into contiguous rows; otherwise one GEMM over all taps (a large kernel
+    over few pixels) avoids copying the kernel per tap."""
+    n, c, h, w = x.shape
+    o, k = kernel.shape[1], kernel.shape[2]
+    rows = x.transpose(0, 2, 3, 1).reshape(n * h * w, c)
+    full = np.zeros((n, ho + 2 * padding, wo + 2 * padding, o), dtype=x.dtype)
+    if n * h * w > c:
+        taps = np.ascontiguousarray(kernel.transpose(2, 3, 0, 1))  # (K,K,C,O)
+        tap = lambda i, j: (rows @ taps[i, j]).reshape(n, h, w, o)
+    else:
+        cols = np.dot(rows, kernel.reshape(c, -1)).reshape(n, h, w, o, k, k)
+        tap = lambda i, j: cols[..., i, j]
     for i in range(k):
         for j in range(k):
-            full[:, :, i:i + stride * h:stride, j:j + stride * w:stride] += cols[:, :, i, j]
-    return full[:, :, padding:padding + ho, padding:padding + wo]
+            full[:, i:i + stride * h:stride, j:j + stride * w:stride] += tap(i, j)
+    return full[:, padding:padding + ho, padding:padding + wo].transpose(0, 3, 1, 2)
 
 
 def _check_conv(op: str, x: Tensor, kernel: Tensor, bias: Tensor, stride: int,
@@ -224,13 +255,15 @@ def conv2d(x: Tensor, kernel: Tensor, bias: Tensor, stride: int = 1,
         raise ShapeError(f"conv2d: spatial dims {h}x{w} (pad {padding}) smaller than kernel {k}")
     ho = (h + 2 * padding - k) // stride + 1
     wo = (w + 2 * padding - k) // stride + 1
-    out_data, patches = _gather(x.data, kernel.data, stride, padding, ho, wo)
+    out_data = _gather(_im2col(x.data, k, stride, padding, ho, wo), kernel.data,
+                       x.shape[0], ho, wo)
     out_data += bias.data[None, :, None, None]
     _check_finite(out_data, "conv2d")
 
     def backward(go):
         bias.grad += go.sum(axis=(0, 2, 3))
-        kernel.grad += np.tensordot(go, patches, axes=([0, 2, 3], [0, 4, 5]))
+        kernel.grad += _kernel_grad(go, _im2col(x.data, k, stride, padding, ho, wo),
+                                    kernel.shape)
         x.grad += _scatter(go, kernel.data, stride, padding, h, w)
 
     return Tensor(out_data, True, "conv2d", (x, kernel, bias), backward)
@@ -254,9 +287,9 @@ def conv_transpose2d(x: Tensor, kernel: Tensor, bias: Tensor, stride: int = 1,
 
     def backward(go):
         bias.grad += go.sum(axis=(0, 2, 3))
-        dx, patches = _gather(go, kernel.data, stride, padding, h, w)
-        x.grad += dx
-        kernel.grad += np.tensordot(x.data, patches, axes=([0, 2, 3], [0, 4, 5]))
+        cols = _im2col(go, k, stride, padding, h, w)
+        x.grad += _gather(cols, kernel.data, x.shape[0], h, w)
+        kernel.grad += _kernel_grad(x.data, cols, kernel.shape)
 
     return Tensor(out_data, True, "conv_transpose2d", (x, kernel, bias), backward)
 

@@ -217,6 +217,14 @@ def load_checkpoint(path: str | Path, gen: Generator, disc: Discriminator | None
     return epoch
 
 
+def load_generator(path: str | Path, cfg: UNetConfig) -> Generator:
+    """A generator of shape `cfg` holding a checkpoint's weights, built
+    without the random draw that the checkpoint would overwrite."""
+    gen = Generator(cfg, seed=None)
+    load_checkpoint(path, gen)
+    return gen
+
+
 def train(cfg: TrainConfig, gen_cfg: UNetConfig, disc_cfg: DiscriminatorConfig,
           resume_from: str | None = None,
           progress: bool = False) -> tuple[list[Path], list[EpochRecord]]:

@@ -381,10 +381,13 @@ class TestEndToEnd:
         data = tmp_path / "data"
         assert main(["synth", "--count", "4", "--seed", "3",
                      "--out", str(data), "--config", cfg]) == 0
-        assert (data / "manifest.json").exists()
+        synthesized = json.loads((data / "manifest.json").read_text())
+        assert synthesized["seed"] == 3
         assert main(["prepare", "--dir", str(data)]) == 0
         out = capsys.readouterr().out
         assert "4 pairs" in out and "4 entries" in out
+        prepared = json.loads((data / "manifest.json").read_text())
+        assert prepared == synthesized
 
     def test_train_eval_bench_guard(self, small_run, tmp_path, capsys):
         cfg = small_config(tmp_path)

@@ -19,6 +19,17 @@ def test_conv2d_reference_shapes():
     assert report.passed
 
 
+@pytest.mark.parametrize("primitive, shapes", [
+    ("conv_transpose2d_strided", [(1, 8, 2, 2), (8, 2, 4, 4)]),
+    ("conv2d_strided", [(1, 2, 4, 4), (8, 2, 4, 4)]),
+])
+def test_overlap_add_with_fewer_pixels_than_channels(primitive, shapes):
+    # The transposed conv's input, or conv2d's output gradient, has
+    # N*H*W = 4 pixels and 8 channels: the one-GEMM overlap-add branch.
+    report = gc.finite_difference_check(primitive, shapes, tolerance=1e-4, seed=4)
+    assert report.passed, str(report)
+
+
 def test_sigmoid_tight_tolerance():
     report = gc.finite_difference_check("sigmoid", [(4,)], tolerance=1e-6, seed=1)
     assert report.passed

@@ -93,6 +93,10 @@ class TestGuardStep:
         state, decision = guard_step(GuardState(), mask_of(0.5, region, 20), region)
         assert (state.mode, decision) == (OVERRIDE, HALT)
 
+    def test_threshold_above_one_rejected(self, region):
+        with pytest.raises(ValueError, match="breach_fraction_threshold"):
+            SafeRegion(region.mask, breach_fraction_threshold=1.5)
+
 
 class TestResetOverride:
     def test_reset_and_retrigger(self, region):
@@ -179,6 +183,9 @@ class TestLatencyReport:
         assert s["p50_ms"] == 20.0
         assert s["p95_ms"] == 400.0
 
+    def test_p50_of_two_frames_is_the_smaller(self):
+        assert LatencyReport(frame_ms=[9.0, 5.0], budget_ms=300.0).summary()["p50_ms"] == 5.0
+
     def test_violation_recount_matches_csv(self, tmp_path):
         report = LatencyReport(frame_ms=[1.0, 301.0, 2.0, 500.0, 299.9], budget_ms=300.0)
         report.write(tmp_path)
@@ -187,6 +194,10 @@ class TestLatencyReport:
         assert flagged == report.violations == 2
         summary = json.loads((tmp_path / "latency.json").read_text())
         assert summary["violations"] == 2
+
+    def test_default_budget_is_the_papers(self):
+        # The paper labels a frame in 299 ms; the interlock allows 300.
+        assert LatencyBudget().budget_ms == 300.0
 
     def test_budget_validation(self):
         with pytest.raises(ValueError, match="budget_ms"):
@@ -229,6 +240,14 @@ class TestGuardRun:
         events = guard_run(slowed(truth_segmenter, 2.0), frames, region, budget)
         assert all(e.decision == HALT for e in events)
         assert all(e.reason == "latency" for e in events)
+
+    def test_fast_frames_keep_interlock_decisions(self, region):
+        frames = self.make_frames([0.0, 0.02, 0.02], region)
+        budget = LatencyBudget(policy="abort-frame")
+        events = guard_run(truth_segmenter, frames, region, budget)
+        assert all(0.0 <= e.ms < budget.budget_ms for e in events)
+        assert [(e.decision, e.reason) for e in events] == [
+            (PROCEED, ""), (PROCEED, ""), (HALT, "breach")]
 
     def test_record_policy_does_not_halt(self, region):
         frames = self.make_frames([0.0, 0.0], region)

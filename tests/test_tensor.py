@@ -234,6 +234,38 @@ class TestInvariants:
             assert np.isclose((mid.data * y).sum(), (x.data * back.data).sum(),
                               rtol=1e-12, atol=1e-12), (h, k, s, p)
 
+    def test_conv_adjoint_with_few_pixels(self):
+        # y has fewer pixels (N*H*W = 4) than channels (8), so
+        # conv_transpose2d takes the one-GEMM overlap-add branch.
+        rng = np.random.default_rng(7)
+        x = t(rng.standard_normal((1, 8, 4, 4)))
+        kern = t(rng.standard_normal((8, 8, 4, 4)))
+        mid = T.conv2d(x, kern, t(np.zeros(8)), stride=2, padding=1)
+        y = rng.standard_normal(mid.shape)
+        assert y.shape == (1, 8, 2, 2)
+        back = T.conv_transpose2d(t(y), kern, t(np.zeros(8)), stride=2, padding=1)
+        assert np.isclose((mid.data * y).sum(), (x.data * back.data).sum(),
+                          rtol=1e-12, atol=1e-12)
+
+    def test_im2col_equals_strided_view_reshaped(self):
+        # The reference: the (N, Ho, Wo, C, K, K) patch view reshaped to a
+        # matrix, which is what the K-pixel-run copy must reproduce.
+        rng = np.random.default_rng(8)
+        for _ in range(40):
+            n, c = int(rng.integers(1, 4)), int(rng.integers(1, 5))
+            k, s, p = int(rng.integers(1, 5)), int(rng.integers(1, 4)), int(rng.integers(0, 3))
+            h, w = (int(v) for v in rng.integers(max(1, k - 2 * p), 10, size=2))
+            ho, wo = (h + 2 * p - k) // s + 1, (w + 2 * p - k) // s + 1
+            x = rng.standard_normal((n, c, h, w)).astype(rng.choice([np.float32, np.float64]))
+            xp = np.pad(x, ((0, 0), (0, 0), (p, p), (p, p)))
+            sn, sc, sh, sw = xp.strides
+            ref = np.lib.stride_tricks.as_strided(
+                xp, (n, ho, wo, c, k, k), (sn, sh * s, sw * s, sc, sh, sw)).reshape(n * ho * wo, -1)
+            cols = T._im2col(x, k, s, p, ho, wo)
+            # Same strides too: the GEMM reads a view and a copy differently.
+            assert (cols.dtype, cols.shape, cols.strides) == (x.dtype, ref.shape, ref.strides)
+            assert cols.tobytes() == ref.tobytes(), (x.shape, k, s, p)
+
     def test_nonfinite_raises(self):
         x = t([1e308])
         with pytest.raises(NonFiniteError):

@@ -13,7 +13,7 @@ from armsentinel.pipeline import SceneConfig, synth_dataset
 from armsentinel.tensor import ShapeError, Tensor
 from armsentinel.train import (TrainConfig, _checkpoint_epochs, discriminator_loss,
                                gan_value, generator_loss, load_checkpoint,
-                               save_checkpoint, train, train_step)
+                               load_generator, save_checkpoint, train, train_step)
 
 GEN_CFG = UNetConfig(base_filters=4, depth=3)
 DISC_CFG = DiscriminatorConfig(in_channels=4, base_filters=4, num_layers=2)
@@ -274,6 +274,20 @@ class TestCheckpointIO:
         save_checkpoint(path, gen, disc, AdamState(), AdamState(), epoch=1)
         with pytest.raises(CheckpointError, match="gen/enc0.weight"):
             load_checkpoint(path, Generator(UNetConfig(base_filters=8, depth=3)))
+
+    def test_load_generator_equals_drawn_then_loaded(self, tmp_path):
+        path = tmp_path / "c.bin"
+        save_checkpoint(path, Generator(GEN_CFG, seed=3), Discriminator(DISC_CFG, seed=4),
+                        AdamState(), AdamState(), epoch=1)
+        drawn = Generator(GEN_CFG, seed=8)
+        load_checkpoint(path, drawn)
+        loaded = load_generator(path, GEN_CFG)
+        assert list(loaded.store.params) == list(drawn.store.params)
+        for name, p in drawn.store.params.items():
+            q = loaded.store.params[name].data
+            assert (q.dtype, q.shape, q.tobytes()) == (p.data.dtype, p.data.shape, p.data.tobytes())
+        cond = Tensor(np.random.default_rng(0).random((1, 3, 16, 16), dtype=np.float32))
+        assert loaded.forward(cond).data.tobytes() == drawn.forward(cond).data.tobytes()
 
     def test_generator_only_load_holds_one_copy(self, tmp_path):
         gen, disc = Generator(UNetConfig(), seed=0), Discriminator(DiscriminatorConfig(), seed=1)
