@@ -5,9 +5,11 @@ region: breaches above a fraction threshold are debounced over consecutive
 frames before latching an absorbing OVERRIDE.  `guard_run` gives every frame
 exactly one event: an error while handling a frame (segmenter, interlock or
 frame-shape drift) is HALT with reason "error:<type>" and latches OVERRIDE,
-and a budget miss under abort-frame is HALT; no error ever yields PROCEED.
-An interlock HALT's reason is "breach" on the frame that latches OVERRIDE
-and "override" on each later frame the latch absorbs.
+and a frame over its budget is HALT with reason "latency"; no error or late
+frame ever yields PROCEED.  An interlock HALT's reason is "breach" on the
+frame that latches OVERRIDE and "override" on each later frame the latch
+absorbs.  Nothing unlatches OVERRIDE: it holds for the rest of a `guard_run`
+session, and only a new session (a fresh `GuardState`) starts NOMINAL.
 """
 
 from __future__ import annotations
@@ -35,21 +37,19 @@ PROCEED = "PROCEED"
 HALT = "HALT"
 
 
-class InterlockError(RuntimeError):
-    pass
-
-
 @dataclass
 class LatencyBudget:
     budget_ms: float = 300.0
-    policy: str = "record"  # "record" | "abort-frame"
+    # The one policy: a frame over budget_ms is HALT "latency".  The field stays only
+    # because perfbench, acceptance criterion 4 and tests pass policy="abort-frame".
+    policy: str = "abort-frame"
 
     def __post_init__(self):
         if not 0 < self.budget_ms < math.inf:  # also NaN and inf, which no frame time exceeds
             raise ValueError(f"LatencyBudget: budget_ms must be finite and > 0, "
                              f"got {self.budget_ms}")
-        if self.policy not in ("record", "abort-frame"):
-            raise ValueError(f"LatencyBudget: unknown policy {self.policy!r}")
+        if self.policy != "abort-frame":
+            raise ValueError(f"LatencyBudget: policy must be 'abort-frame', got {self.policy!r}")
 
 
 @dataclass
@@ -138,12 +138,6 @@ def guard_step(state: GuardState, predicted_mask: ImageBuffer,
     return GuardState(NOMINAL, 0, fraction), PROCEED
 
 
-def reset_override(state: GuardState) -> GuardState:
-    if state.mode != OVERRIDE:
-        raise InterlockError(f"reset_override: state is {state.mode}, not {OVERRIDE}")
-    return GuardState()
-
-
 # ---------------------------------------------------------------------------
 # guard loop: the one per-frame timer, shared by `guard` and `bench`
 
@@ -175,9 +169,9 @@ def guard_run(segmenter: Callable[[np.ndarray], ImageBuffer],
               log_path: str | Path | None = None) -> list[GuardEvent]:
     """Online loop: segment -> interlock per frame, all inside one budget window.
 
-    Under the abort-frame policy a frame that misses its budget is HALT with
-    reason "latency" regardless of the interlock outcome (fail closed); a frame
-    whose handling raises is HALT with reason "error:<type>" and latches OVERRIDE.
+    A frame that misses its budget is HALT with reason "latency" regardless of
+    the interlock outcome (fail closed); a frame whose handling raises is HALT
+    with reason "error:<type>" and latches OVERRIDE.
     Frames after the latch are HALT with reason "override". Each event's `ms`
     times the whole frame, segmenter and interlock, and is what `bench` reports.
     `segmenter` is any frame -> binary-mask callable; tests substitute a
@@ -205,8 +199,7 @@ def guard_run(segmenter: Callable[[np.ndarray], ImageBuffer],
                 state = replace(state, mode=OVERRIDE)
                 decision, reason = HALT, f"error:{type(exc).__name__}"
             ms = (time.perf_counter() - t0) * 1000.0
-            if (ms > budget.budget_ms and budget.policy == "abort-frame"
-                    and not reason.startswith("error:")):
+            if ms > budget.budget_ms and not reason.startswith("error:"):
                 decision, reason = HALT, "latency"
             event = GuardEvent(i, ms, state.last_breach_fraction, state.mode,
                                decision, reason)

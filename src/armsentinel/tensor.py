@@ -91,7 +91,7 @@ class Tensor:
     def _binary(self, other, fwd, bwd_self, bwd_other, tag):
         other_t = other if isinstance(other, Tensor) else None
         odata = other_t.data if other_t is not None else np.asarray(other, dtype=self.dtype)
-        if other_t is not None and other_t.shape != self.shape and odata.ndim > 0:
+        if other_t is not None and other_t.shape != self.shape:
             raise ShapeError(f"{tag}: shapes {self.shape} vs {other_t.shape}")
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             out_data = _check_finite(fwd(self.data, odata), tag)

@@ -78,17 +78,14 @@ def _validate_scores(arr: np.ndarray, name: str):
                          f"got range [{arr.min()}, {arr.max()}]")
 
 
-def gan_value(d_real_scores: np.ndarray, d_fake_scores: np.ndarray,
-              clamp_eps: float = CLAMP_EPS) -> float:
+def gan_value(d_real_scores: np.ndarray, d_fake_scores: np.ndarray) -> float:
     """Empirical minimax value: E[log D(real)] + E[log(1 - D(fake))]."""
-    if clamp_eps <= 0:
-        raise ValueError("gan_value: clamp_eps must be > 0")
     real = np.asarray(d_real_scores, dtype=np.float64)
     fake = np.asarray(d_fake_scores, dtype=np.float64)
     _validate_scores(real, "gan_value d_real")
     _validate_scores(fake, "gan_value d_fake")
-    return float(np.log(np.maximum(real, clamp_eps)).mean()
-                 + np.log(np.maximum(1.0 - fake, clamp_eps)).mean())
+    return float(np.log(np.maximum(real, CLAMP_EPS)).mean()
+                 + np.log(np.maximum(1.0 - fake, CLAMP_EPS)).mean())
 
 
 def discriminator_loss(d_real: Tensor, d_fake: Tensor) -> Tensor:

@@ -118,7 +118,7 @@ def test_criterion_1_gradient_suite():
 def test_criterion_2_value_oracle():
     v = gan_value(np.full((2, 3), 0.5), np.full((2, 3), 0.5))
     assert abs(v - 2.0 * math.log(0.5)) < 1e-9
-    clamped = gan_value(np.array([0.5]), np.array([1.0]), clamp_eps=1e-7)
+    clamped = gan_value(np.array([0.5]), np.array([1.0]))
     scalar = math.log(0.5) + math.log(1e-7)
     assert abs(clamped - scalar) < 1e-6
     print(f"\n[criterion 2] PASS value oracle, all-0.5 = {v:.12f}, "

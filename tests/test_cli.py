@@ -11,10 +11,10 @@ from hypothesis import strategies as st
 from armsentinel.checkpoint import load_tensors, save_tensors
 from armsentinel import cli
 from armsentinel.cli import ConfigError, load_config, main
-from armsentinel.evaluate import predict_mask
+from armsentinel.evaluate import predict_mask, single_arm_probe
 from armsentinel.guard import make_segmenter
 from armsentinel.nets import Generator
-from armsentinel.pipeline import load_manifest, synth_dataset, write_netpbm
+from armsentinel.pipeline import SceneConfig, load_manifest, synth_dataset, write_netpbm
 from armsentinel.train import load_checkpoint
 from tests.conftest import SMALL_GEN_CFG, SMALL_SCENE, slowed
 
@@ -118,6 +118,19 @@ class TestDataErrors:
                      "--out", str(tmp_path / "events.jsonl"), "--config", cfg])
         assert code == 2
         assert "permitted_rect" in capsys.readouterr().err
+        assert not (tmp_path / "events.jsonl").exists()
+
+    def test_record_policy_rejected(self, tmp_path, capsys, small_run):
+        # abort-frame is the only policy; naming another is a data error.
+        doc = json.loads(Path(small_config(tmp_path)).read_text())
+        doc["budget"] = {"policy": "record"}
+        (tmp_path / "config.json").write_text(json.dumps(doc))
+        code = main(["guard", "--ckpt", str(small_run["final_ckpt"]),
+                     "--manifest", str(small_run["manifest_path"]),
+                     "--out", str(tmp_path / "events.jsonl"),
+                     "--config", str(tmp_path / "config.json")])
+        assert code == 2
+        assert "policy" in capsys.readouterr().err
         assert not (tmp_path / "events.jsonl").exists()
 
     def test_corrupt_checkpoint(self, tmp_path, small_run):
@@ -323,6 +336,14 @@ class TestBench:
         assert summary["frames"] == summary["violations"] == 12
         assert summary["min_ms"] > 301.0
 
+    def test_assert_budget_passes_at_default_budget(self, tmp_path, capsys, small_run):
+        # The README quick start: a tiny model meets the 300 ms budget.
+        code = main(["bench", "--ckpt", str(small_run["final_ckpt"]),
+                     "--manifest", str(small_run["manifest_path"]), "--assert-budget",
+                     "--config", small_config(tmp_path)])
+        assert code == 0
+        assert json.loads(capsys.readouterr().out)["violations"] == 0
+
     def test_bad_repetitions(self, tmp_path, capsys, small_run):
         code = main(["bench", "--ckpt", str(small_run["final_ckpt"]),
                      "--manifest", str(small_run["manifest_path"]), "--repetitions", "0",
@@ -344,6 +365,35 @@ class TestBench:
         err = capsys.readouterr().err
         assert "frame 1" in err and "error:ValueError" in err
         assert not (tmp_path / "b").exists()
+
+
+class TestGuard:
+    def test_default_policy_halts_every_late_frame(self, tmp_path, small_run):
+        # No budget section: the default policy still HALTs each frame over budget.
+        log = tmp_path / "events.jsonl"
+        assert main(["guard", "--ckpt", str(small_run["final_ckpt"]),
+                     "--manifest", str(small_run["manifest_path"]), "--budget-ms", "0.001",
+                     "--out", str(log), "--config", small_config(tmp_path)]) == 0
+        events = [json.loads(line) for line in log.read_text().splitlines()]
+        assert len(events) == 12
+        assert all((e["decision"], e["reason"]) == ("HALT", "latency") for e in events)
+
+    def test_default_region_permits_every_pixel(self):
+        region = cli._region({}, (12, 20))
+        assert region.permitted.shape == (12, 20)
+        assert region.permitted.all()
+
+
+class TestProbeSingleArm:
+    def test_report_matches_single_arm_probe(self, tmp_path, small_run):
+        assert main(["probe-single-arm", "--ckpt", str(small_run["final_ckpt"]),
+                     "--count", "3", "--seed", "2", "--out", str(tmp_path / "cli"),
+                     "--config", small_config(tmp_path)]) == 0
+        scene = SceneConfig(width=16, height=16, arm_count=1, seed=2)
+        single_arm_probe(small_run["final_ckpt"], scene, 3, SMALL_GEN_CFG,
+                         out_dir=tmp_path / "api")
+        assert ((tmp_path / "cli" / "report.csv").read_bytes()
+                == (tmp_path / "api" / "report.csv").read_bytes())
 
 
 json_values = st.recursive(

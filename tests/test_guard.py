@@ -6,9 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from armsentinel.guard import (BREACH, HALT, NOMINAL, OVERRIDE, PROCEED,
-                               GuardState, InterlockError, LatencyBudget,
-                               LatencyReport, SafeRegion, guard_run, guard_step,
-                               make_segmenter, reset_override)
+                               GuardState, LatencyBudget, LatencyReport, SafeRegion,
+                               guard_run, guard_step, make_segmenter)
 from armsentinel.pipeline import ImageBuffer, load_manifest
 from armsentinel.tensor import NonFiniteError
 from tests.conftest import SMALL_GEN_CFG, slowed
@@ -96,24 +95,6 @@ class TestGuardStep:
     def test_threshold_above_one_rejected(self, region):
         with pytest.raises(ValueError, match="breach_fraction_threshold"):
             SafeRegion(region.mask, breach_fraction_threshold=1.5)
-
-
-class TestResetOverride:
-    def test_reset_and_retrigger(self, region):
-        state = GuardState()
-        for _ in range(2):
-            state, _ = guard_step(state, mask_of(0.05, region), region)
-        state = reset_override(state)
-        assert state.mode == NOMINAL
-        assert state.consecutive_breach_count == 0
-        # The interlock must re-arm after a reset.
-        for _ in range(2):
-            state, decision = guard_step(state, mask_of(0.05, region), region)
-        assert (state.mode, decision) == (OVERRIDE, HALT)
-
-    def test_reset_outside_override_rejected(self, region):
-        with pytest.raises(InterlockError, match="NOMINAL"):
-            reset_override(GuardState())
 
 
 class TestGuardProperties:
@@ -209,6 +190,11 @@ class TestLatencyReport:
         with pytest.raises(ValueError, match="policy"):
             LatencyBudget(policy="panic")
 
+    def test_abort_frame_is_the_only_policy(self):
+        assert LatencyBudget().policy == "abort-frame"
+        with pytest.raises(ValueError, match="abort-frame"):
+            LatencyBudget(policy="record")
+
 
 def truth_segmenter(frame):
     """Ground-truth oracle: the frame itself already is the mask."""
@@ -249,18 +235,21 @@ class TestGuardRun:
         assert [(e.decision, e.reason) for e in events] == [
             (PROCEED, ""), (PROCEED, ""), (HALT, "breach")]
 
-    def test_record_policy_does_not_halt(self, region):
-        frames = self.make_frames([0.0, 0.0], region)
-        budget = LatencyBudget(budget_ms=0.001, policy="record")
-        events = guard_run(slowed(truth_segmenter, 2.0), frames, region, budget)
-        assert all(e.decision == PROCEED for e in events)
-
     def test_frame_drift_rejected(self, region):
         frames = [np.zeros((20, 20), dtype=np.uint8), np.zeros((10, 10), dtype=np.uint8)]
         events = guard_run(truth_segmenter, frames, region, LatencyBudget())
         assert [e.decision for e in events] == [PROCEED, HALT]
         assert events[1].reason == "error:ValueError"
         assert events[1].mode == OVERRIDE
+
+    def test_error_on_first_frame_logs_zero_fraction(self, region):
+        # No mask was scored, so the event carries no breach fraction.
+        def broken(frame):
+            raise NonFiniteError("sigmoid: non-finite values in result")
+
+        events = guard_run(broken, self.make_frames([0.5], region), region, LatencyBudget())
+        assert (events[0].decision, events[0].reason) == (HALT, "error:NonFiniteError")
+        assert events[0].breach_fraction == 0.0
 
     def test_segmenter_error_fails_closed(self, region, tmp_path):
         # The segmenter raises on frame 2 of 5: that frame and every later

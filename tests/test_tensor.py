@@ -1,3 +1,5 @@
+import operator
+
 import numpy as np
 import pytest
 
@@ -274,6 +276,18 @@ class TestInvariants:
     def test_log_of_negative_raises(self):
         with pytest.raises(NonFiniteError):
             T.log(t([-1.0]))
+
+    @pytest.mark.parametrize("op", [operator.add, operator.sub, operator.mul])
+    def test_scalar_tensor_does_not_broadcast(self, op):
+        # A shape mismatch between two Tensors fails at forward, 0-d ones too,
+        # rather than in backward; Python scalars still broadcast.
+        x = t(np.ones((2, 3)))
+        s = T.mean(x)
+        for a, b in ((x, s), (s, x)):
+            with pytest.raises(ShapeError, match=r"\(2, 3\) vs \(\)|\(\) vs \(2, 3\)"):
+                op(a, b)
+        T.total(op(x, 2.0)).backward()
+        assert x.grad.shape == (2, 3)
 
     def test_empty_tensor_rejected(self):
         with pytest.raises(ShapeError, match="empty"):

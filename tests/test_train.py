@@ -40,7 +40,7 @@ class TestGanValue:
         assert v == pytest.approx(2 * math.log(0.9), abs=1e-9)
 
     def test_clamp_path(self):
-        v = gan_value(np.array([0.5]), np.array([1.0]), clamp_eps=1e-7)
+        v = gan_value(np.array([0.5]), np.array([1.0]))
         assert v == pytest.approx(math.log(0.5) + math.log(1e-7), abs=1e-6)
         assert v == pytest.approx(-16.8112, abs=1e-3)
 
